@@ -54,14 +54,14 @@ double percentile(std::vector<double> v, double q) {
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int queries = std::max(4, static_cast<int>(flags.i64("queries", 24)));
-  const int n = static_cast<int>(flags.i64("n", 300));
-  const int runs = std::max(1, static_cast<int>(flags.i64("runs", 2)));
+  const int queries = std::max(4, flags.i32("queries", 24));
+  const int n = flags.i32("n", 300);
+  const int runs = std::max(1, flags.i32("runs", 2));
   const double gapPct = flags.f64("gap-pct", 5.0);
-  const int buildN = static_cast<int>(flags.i64("build-n", 64));
-  const int prSteps = static_cast<int>(flags.i64("pr-steps", 16));
-  const int rrSteps = static_cast<int>(flags.i64("rr-steps", 8));
-  const int diffEvery = std::max(1, static_cast<int>(flags.i64("diff-every", 4)));
+  const int buildN = flags.i32("build-n", 64);
+  const int prSteps = flags.i32("pr-steps", 16);
+  const int rrSteps = flags.i32("rr-steps", 8);
+  const int diffEvery = std::max(1, flags.i32("diff-every", 4));
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed", 1));
   const std::string jsonPath = flags.str("json", "BENCH_atlas.json");
 

@@ -67,10 +67,10 @@ void tuneMachine(Machine& machine, const Ratio& ratio, int n,
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 90));
+  const int n = flags.i32("n", 90);
   const double commFraction = flags.f64("comm-fraction", 0.3);
-  const int pmax = static_cast<int>(flags.i64("pmax", 20));
-  const int rmax = static_cast<int>(flags.i64("rmax", 10));
+  const int pmax = flags.i32("pmax", 20);
+  const int rmax = flags.i32("rmax", 10);
   const FamilySet families = FamilySet::parse(flags.str("families", "all"));
   Machine machine;
   machine.baseFlopSeconds = 1.0 / flags.f64("flops", 1e9);

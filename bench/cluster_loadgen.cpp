@@ -130,9 +130,9 @@ bool eventLogged(const std::vector<ClusterEvent>& events,
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int nodes = std::max(2, static_cast<int>(flags.i64("nodes", 3)));
+  const int nodes = std::max(2, flags.i32("nodes", 3));
   const int replication =
-      std::max(2, static_cast<int>(flags.i64("replication", 2)));
+      std::max(2, flags.i32("replication", 2));
   const std::int64_t keys = std::max<std::int64_t>(1, flags.i64("keys", 48));
   const std::int64_t warmRequests =
       std::max<std::int64_t>(keys, flags.i64("warm-requests", 300));
@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(1, flags.i64("death-requests", 400));
   const std::int64_t postRequests =
       std::max<std::int64_t>(1, flags.i64("post-requests", 200));
-  const int threads = std::max(1, static_cast<int>(flags.i64("threads", 4)));
-  const int killNode = static_cast<int>(flags.i64("kill-node", 1));
+  const int threads = std::max(1, flags.i32("threads", 4));
+  const int killNode = flags.i32("kill-node", 1);
   const double killAt = flags.f64("kill-at", 1.0);
   const double rejoinAt = flags.f64("rejoin-at", 2.0);
   const std::string jsonPath = flags.str("json", "BENCH_cluster.json");

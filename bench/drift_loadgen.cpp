@@ -44,14 +44,14 @@ namespace {
 /// of the drill so --phases scales the whole story instead of clipping it.
 DriftScenarioOptions scenarioFromFlags(const Flags& flags) {
   DriftScenarioOptions options;
-  options.phases = std::max(20, static_cast<int>(flags.i64("phases", 300)));
+  options.phases = std::max(20, flags.i32("phases", 300));
   options.seed = static_cast<std::uint64_t>(flags.i64("seed", 42));
-  options.n = std::max(12, static_cast<int>(flags.i64("n", 96)));
+  options.n = std::max(12, flags.i32("n", 96));
   options.wanderStep = flags.f64("wander", 0.05);
   options.regretBound = flags.f64("regret-bound", 1.25);
   options.session.staleGapPct = flags.f64("stale-gap-pct", 5.0);
   options.session.hysteresisPhases =
-      static_cast<int>(flags.i64("hysteresis", 2));
+      flags.i32("hysteresis", 2);
   options.session.minReplanSeconds = flags.f64("min-replan-s", 0.0);
 
   const double duration = options.phases * options.phaseSeconds;

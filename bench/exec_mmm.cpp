@@ -34,7 +34,7 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 192));
+  const int n = flags.i32("n", 192);
 
   std::vector<Ratio> ratios;
   {

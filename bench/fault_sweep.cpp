@@ -29,7 +29,7 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 96));
+  const int n = flags.i32("n", 96);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "5:2:1"));
   const CandidateShape shape =
       candidateFromName(flags.str("shape", "Square-Corner"));
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   base.machine.baseFlopSeconds = 1.0 / flags.f64("flops", 1e9);
   base.machine.alphaSeconds = flags.f64("alpha-us", 10.0) * 1e-6;
   // More chunks -> more messages -> more drop draws per run.
-  base.chunksPerPair = static_cast<int>(flags.i64("chunks", 4));
+  base.chunksPerPair = flags.i32("chunks", 4);
   // Ack timeout and backoff scaled to the microsecond-order transfers these
   // machines make; the RetryPolicy defaults target second-scale runs.
   base.retry.timeoutSeconds = flags.f64("timeout-us", 10.0) * 1e-6;

@@ -30,9 +30,9 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 200));
-  const int pmax = static_cast<int>(flags.i64("pmax", 20));
-  const int rmax = static_cast<int>(flags.i64("rmax", 10));
+  const int n = flags.i32("n", 200);
+  const int pmax = flags.i32("pmax", 20);
+  const int rmax = flags.i32("rmax", 10);
 
   CsvWriter csv;
   if (flags.has("csv"))

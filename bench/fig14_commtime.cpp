@@ -27,10 +27,10 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 5000));          // closed form
-  const int gridN = static_cast<int>(flags.i64("grid-n", 500));  // grid + sim
+  const int n = flags.i32("n", 5000);          // closed form
+  const int gridN = flags.i32("grid-n", 500);  // grid + sim
   const double tsend = 8.0 / (flags.f64("bandwidth-mbs", 1000.0) * 1e6);
-  const int pmax = static_cast<int>(flags.i64("pmax", 25));
+  const int pmax = flags.i32("pmax", 25);
 
   CsvWriter csv;
   if (flags.has("csv"))

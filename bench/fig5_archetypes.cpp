@@ -37,9 +37,9 @@ std::vector<Ratio> parseRatios(const std::string& text) {
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   BatchOptions options;
-  options.n = static_cast<int>(flags.i64("n", 48));
-  options.runs = static_cast<int>(flags.i64("runs", 40));
-  options.threads = static_cast<int>(flags.i64("threads", 0));
+  options.n = flags.i32("n", 48);
+  options.runs = flags.i32("runs", 40);
+  options.threads = flags.i32("threads", 0);
   options.seed = static_cast<std::uint64_t>(flags.i64("seed", 1));
 
   std::vector<Ratio> ratios;

@@ -21,7 +21,7 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 100));
+  const int n = flags.i32("n", 100);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "2:1:1"));
   const auto snapshots = flags.i64("snapshots", 5);
   Rng rng(static_cast<std::uint64_t>(flags.i64("seed", 2)));

@@ -65,12 +65,12 @@ double safeRatio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = std::max(8, static_cast<int>(flags.i64("n", 1000)));
-  const int scanReps = std::max(1, static_cast<int>(flags.i64("scan-reps", 40)));
-  const int trajN = std::max(8, static_cast<int>(flags.i64("traj-n", 160)));
-  const int trajRuns = std::max(1, static_cast<int>(flags.i64("traj-runs", 6)));
-  const int batchN = std::max(8, static_cast<int>(flags.i64("batch-n", 1000)));
-  const int batchRuns = std::max(1, static_cast<int>(flags.i64("batch-runs", 4)));
+  const int n = std::max(8, flags.i32("n", 1000));
+  const int scanReps = std::max(1, flags.i32("scan-reps", 40));
+  const int trajN = std::max(8, flags.i32("traj-n", 160));
+  const int trajRuns = std::max(1, flags.i32("traj-runs", 6));
+  const int batchN = std::max(8, flags.i32("batch-n", 1000));
+  const int batchRuns = std::max(1, flags.i32("batch-runs", 4));
   const double budget = flags.f64("budget", 120.0);
   const double bar = flags.f64("bar", 10.0);
   const double trajBar = flags.f64("traj-bar", 0.75);

@@ -5,10 +5,10 @@
 //      work's candidates and reproduces the classical 3:1 crossover the
 //      paper quotes in §II (Square-Corner beats Straight-Line iff P_r > 3).
 //   2. Four-and-more-processor exploration: randomized condensation runs
-//      through the k-ary Push engine, reporting how often every slow
-//      processor ends (asymptotically) rectangular and how strongly VoC
-//      contracts — the experimental groundwork for the k ≥ 4 taxonomy the
-//      paper leaves open.
+//      through the shared Push engine on NPartition, reporting how often
+//      every slow processor ends (asymptotically) rectangular and how
+//      strongly VoC contracts — the experimental groundwork for the k ≥ 4
+//      taxonomy the paper leaves open.
 //
 //   ./nproc_explore [--n=48] [--runs=30] [--seed=9]
 //                   [--speeds=8:4:2:1,4:2:2:1:1,...]
@@ -27,8 +27,8 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 48));
-  const int runs = static_cast<int>(flags.i64("runs", 30));
+  const int n = flags.i32("n", 48);
+  const int runs = flags.i32("runs", 30);
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed", 9));
 
   std::cout << "E9 (paper Sec. XI direction): the generalized k-processor "

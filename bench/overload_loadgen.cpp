@@ -108,19 +108,19 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const double deadlineSeconds = flags.f64("deadline-ms", 50.0) / 1e3;
   const int maxConcurrency =
-      std::max(1, static_cast<int>(flags.i64("max-concurrency", 2)));
-  const int maxQueue = std::max(0, static_cast<int>(flags.i64("max-queue", 4)));
+      std::max(1, flags.i32("max-concurrency", 2));
+  const int maxQueue = std::max(0, flags.i32("max-queue", 4));
   const int multiplier =
-      std::max(1, static_cast<int>(flags.i64("multiplier", 4)));
+      std::max(1, flags.i32("multiplier", 4));
   const int perThread =
-      std::max(1, static_cast<int>(flags.i64("requests-per-thread", 8)));
-  const int n = std::max(12, static_cast<int>(flags.i64("n", 240)));
-  const int runs = std::max(1, static_cast<int>(flags.i64("runs", 64)));
-  const int hotEvery = std::max(2, static_cast<int>(flags.i64("hot-every", 4)));
+      std::max(1, flags.i32("requests-per-thread", 8));
+  const int n = std::max(12, flags.i32("n", 240));
+  const int runs = std::max(1, flags.i32("runs", 64));
+  const int hotEvery = std::max(2, flags.i32("hot-every", 4));
   const int warmKeys =
-      std::max(1, static_cast<int>(flags.i64("warm-keys", 32)));
+      std::max(1, flags.i32("warm-keys", 32));
   const int warmRequests =
-      std::max(1, static_cast<int>(flags.i64("warm-requests", 1000)));
+      std::max(1, flags.i32("warm-requests", 1000));
   const std::string snapshotPath =
       flags.str("snapshot", "overload_cache.snap");
   const std::string jsonPath = flags.str("json", "BENCH_overload.json");

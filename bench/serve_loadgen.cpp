@@ -92,15 +92,15 @@ std::string jsonHistogram(const LatencyHistogram::Snapshot& h) {
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const int threads =
-      std::max(1, static_cast<int>(flags.i64("threads", 8)));
+      std::max(1, flags.i32("threads", 8));
   const std::int64_t requests = flags.i64("requests", 12000);
-  const int keys = std::max(1, static_cast<int>(flags.i64("keys", 48)));
+  const int keys = std::max(1, flags.i32("keys", 48));
   const double skew = flags.f64("skew", 1.0);
-  const int baseN = static_cast<int>(flags.i64("n", 120));
-  const int runs = std::max(1, static_cast<int>(flags.i64("runs", 3)));
-  const int tierbEvery = static_cast<int>(flags.i64("tierb-every", 4));
-  const int coldN = static_cast<int>(flags.i64("cold-n", 1000));
-  const int coldRuns = std::max(1, static_cast<int>(flags.i64("cold-runs", 1)));
+  const int baseN = flags.i32("n", 120);
+  const int runs = std::max(1, flags.i32("runs", 3));
+  const int tierbEvery = flags.i32("tierb-every", 4);
+  const int coldN = flags.i32("cold-n", 1000);
+  const int coldRuns = std::max(1, flags.i32("cold-runs", 1));
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed", 1));
   const std::string jsonPath = flags.str("json", "BENCH_serve.json");
 

@@ -23,7 +23,7 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 120));
+  const int n = flags.i32("n", 120);
   Machine machine;
   machine.sendElementSeconds = 8.0 / (flags.f64("bandwidth-mbs", 1000.0) * 1e6);
 

@@ -33,7 +33,7 @@ Algo parseAlgo(const std::string& name) {
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 120));
+  const int n = flags.i32("n", 120);
   const Algo algo = parseAlgo(flags.str("algo", "SCB"));
   const std::string topoStr = flags.str("topology", "full");
   const Topology topology =

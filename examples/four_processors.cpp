@@ -40,7 +40,7 @@ void render(const NPartition& q, int maxCells) {
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 40));
+  const int n = flags.i32("n", 40);
   const auto speeds = NSpeeds::parse(flags.str("speeds", "8:4:2:1"));
   Rng rng(static_cast<std::uint64_t>(flags.i64("seed", 11)));
 

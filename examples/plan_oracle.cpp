@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
 
   PlanRequest req;
-  req.n = static_cast<int>(flags.i64("n", 120));
+  req.n = flags.i32("n", 120);
   req.ratio = Ratio::parse(flags.str("ratio", "5:2:1"));
   const std::string algoStr = flags.str("algo", "SCO");
   for (Algo a : kAllAlgos)
     if (algoStr == algoName(a)) req.algo = a;
   req.tier = PlanTier::kSearch;
-  req.searchRuns = static_cast<int>(flags.i64("runs", 4));
+  req.searchRuns = flags.i32("runs", 4);
 
   Oracle oracle;
   std::cout << "key: " << canonicalize(req).text << "\n\n";

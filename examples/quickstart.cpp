@@ -22,7 +22,7 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 30));
+  const int n = flags.i32("n", 30);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "3:1:1"));
   Rng rng(static_cast<std::uint64_t>(flags.i64("seed", 7)));
 

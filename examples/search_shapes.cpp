@@ -21,10 +21,10 @@ using namespace pushpart;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   BatchOptions options;
-  options.n = static_cast<int>(flags.i64("n", 60));
+  options.n = flags.i32("n", 60);
   options.ratio = Ratio::parse(flags.str("ratio", "2:1:1"));
-  options.runs = static_cast<int>(flags.i64("runs", 12));
-  options.threads = static_cast<int>(flags.i64("threads", 0));
+  options.runs = flags.i32("runs", 12);
+  options.threads = flags.i32("threads", 0);
   options.seed = static_cast<std::uint64_t>(flags.i64("seed", 3));
   const bool trace = flags.b("trace", false);
 

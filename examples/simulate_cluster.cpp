@@ -21,7 +21,7 @@ using namespace pushpart;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.i64("n", 96));
+  const int n = flags.i32("n", 96);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "5:2:1"));
   const CandidateShape shape =
       candidateFromName(flags.str("shape", "Block-Rectangle"));

@@ -44,10 +44,11 @@ std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> pairVolumes(
     const Partition& q);
 
 /// True when x's cells exactly fill its enclosing rectangle (and x owns at
-/// least one cell). Templated over the engine state (Partition or
-/// RlePartition): only the O(1) counter API is consumed.
-template <typename Q>
-bool isRectangle(const Q& q, Proc x) {
+/// least one cell). Templated over the engine state (Partition,
+/// RlePartition or NPartition) and its owner type: only the O(1) counter
+/// API is consumed.
+template <typename Q, typename Owner>
+bool isRectangle(const Q& q, Owner x) {
   const Rect r = q.enclosingRect(x);
   return !r.isEmpty() && q.count(x) == r.area();
 }
@@ -55,10 +56,10 @@ bool isRectangle(const Q& q, Proc x) {
 /// True when x's cells fill its enclosing rectangle except for missing cells
 /// confined to a single edge row or edge column of that rectangle (paper
 /// Fig. 3's *asymptotically rectangular*). Exact rectangles qualify.
-/// Templated like isRectangle; the beautify pass evaluates it on both
-/// engines.
-template <typename Q>
-bool isAsymptoticallyRectangular(const Q& q, Proc x) {
+/// Templated like isRectangle; the beautify pass evaluates it on every
+/// engine state.
+template <typename Q, typename Owner>
+bool isAsymptoticallyRectangular(const Q& q, Owner x) {
   const Rect r = q.enclosingRect(x);
   if (r.isEmpty()) return false;
   if (q.count(x) == r.area()) return true;

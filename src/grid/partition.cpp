@@ -1,6 +1,7 @@
 #include "grid/partition.hpp"
 
 #include "support/check.hpp"
+#include "support/fnv1a.hpp"
 #include "support/scan.hpp"
 
 namespace pushpart {
@@ -110,12 +111,9 @@ void Partition::recomputeRect(Proc p) const {
 std::uint64_t Partition::hash() const {
   // FNV-1a over the raw cell bytes; collisions only risk a premature cycle
   // verdict in the DFA, never a correctness violation.
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (Proc c : cells_) {
-    h ^= static_cast<std::uint64_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  Fnv1a h;
+  for (Proc c : cells_) h.add(static_cast<std::uint8_t>(c));
+  return h.value;
 }
 
 void Partition::validateCounters() const {

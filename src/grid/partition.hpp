@@ -25,7 +25,7 @@
 
 namespace pushpart {
 
-class Partition {
+class Partition : public ProcOwners {
  public:
   /// N×N grid with every cell assigned to `fill` (default: the fastest
   /// processor P, matching the paper's q0 initialisation, §VI-A2).

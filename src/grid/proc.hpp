@@ -26,6 +26,18 @@ inline constexpr std::array<Proc, kNumProcs> kAllProcs = {Proc::R, Proc::S,
 /// (paper §VI-C: elements of the largest processor are never moved).
 inline constexpr std::array<Proc, 2> kSlowProcs = {Proc::R, Proc::S};
 
+/// The owner set of the three-processor states (Partition, RlePartition),
+/// inherited so the engine templates in push/engine.hpp can read it from the
+/// state: how many owners there are, which one is the fastest (never
+/// pushed) and which slow ones the engine moves, in beautify order.
+struct ProcOwners {
+  static constexpr int procs() { return kNumProcs; }
+  static constexpr Proc fastest() { return Proc::P; }
+  static constexpr const std::array<Proc, 2>& slowOwners() {
+    return kSlowProcs;
+  }
+};
+
 /// Index of a processor into per-processor arrays.
 constexpr int procIndex(Proc p) { return static_cast<int>(p); }
 

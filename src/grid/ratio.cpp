@@ -47,7 +47,7 @@ Ratio Ratio::normalized() const {
 }
 
 bool Ratio::valid() const {
-  return p > 0 && r > 0 && s > 0 && p >= r && p >= s;
+  return p > 0 && r > 0 && s > 0 && std::isfinite(p) && p >= r && p >= s;
 }
 
 Ratio Ratio::parse(const std::string& text) {
@@ -70,9 +70,11 @@ Ratio Ratio::parse(const std::string& text) {
   if (*cur != '\0')
     throw std::invalid_argument("Ratio::parse: trailing junk in '" + text +
                                 "'");
-  if (!(out.p > 0 && out.r > 0 && out.s > 0))
-    throw std::invalid_argument("Ratio::parse: speeds must be positive in '" +
-                                text + "'");
+  for (const double v : {out.p, out.r, out.s})
+    if (!(v > 0) || !std::isfinite(v))
+      throw std::invalid_argument(
+          "Ratio::parse: speeds must be positive and finite in '" + text +
+          "'");
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "nproc/npartition.hpp"
 
 #include "support/check.hpp"
+#include "support/fnv1a.hpp"
 
 namespace pushpart {
 
@@ -87,33 +88,10 @@ Rect NPartition::enclosingRect(NProcId p) const {
   return Rect{top, bottom + 1, left, right + 1};
 }
 
-bool NPartition::isAsymptoticallyRectangular(NProcId p) const {
-  const Rect r = enclosingRect(p);
-  if (r.isEmpty()) return false;
-  if (count(p) == r.area()) return true;
-  auto rowFull = [&](int i) { return rowCount(p, i) >= r.width(); };
-  auto colFull = [&](int j) { return colCount(p, j) >= r.height(); };
-  auto allRowsFullExcept = [&](int skip) {
-    for (int i = r.rowBegin; i < r.rowEnd; ++i)
-      if (i != skip && !rowFull(i)) return false;
-    return true;
-  };
-  auto allColsFullExcept = [&](int skip) {
-    for (int j = r.colBegin; j < r.colEnd; ++j)
-      if (j != skip && !colFull(j)) return false;
-    return true;
-  };
-  return allRowsFullExcept(r.rowBegin) || allRowsFullExcept(r.rowEnd - 1) ||
-         allColsFullExcept(r.colBegin) || allColsFullExcept(r.colEnd - 1);
-}
-
 std::uint64_t NPartition::hash() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (NProcId c : cells_) {
-    h ^= static_cast<std::uint64_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  Fnv1a h;  // indices < 64 (constructor bound) each fit one byte
+  for (NProcId c : cells_) h.add(static_cast<std::uint8_t>(c));
+  return h.value;
 }
 
 void NPartition::validateCounters() const {

@@ -8,10 +8,12 @@
 // three-processor Partition (per-line occupancy, O(1) Volume of
 // Communication, enclosing rectangles). Processor indices are plain ints;
 // by convention the *fastest* processor has index 0 and is never pushed
-// (mirroring P in the three-processor API).
+// (mirroring P in the three-processor API). The shared Push engine
+// (push/engine.hpp) runs on this state directly.
 #pragma once
 
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "grid/rect.hpp"
@@ -27,7 +29,14 @@ class NPartition {
   NPartition(int n, int procs);
 
   int n() const { return n_; }
+
+  // --- Owner set (read by the engine templates in push/engine.hpp) -------
+
   int procs() const { return procs_; }
+  static constexpr NProcId fastest() { return 0; }
+  /// Indices 1..k-1 — every processor the engine may push or compact.
+  auto slowOwners() const { return std::views::iota(NProcId{1}, procs_); }
+
   std::int64_t cellCount() const {
     return static_cast<std::int64_t>(n_) * n_;
   }
@@ -63,10 +72,6 @@ class NPartition {
 
   /// Tightest box around p's cells (empty when p owns nothing). O(N).
   Rect enclosingRect(NProcId p) const;
-
-  /// True when p's cells fill the enclosing rectangle except for missing
-  /// cells confined to one edge line (the Fig. 3 notion, k-ary).
-  bool isAsymptoticallyRectangular(NProcId p) const;
 
   /// FNV-1a over cells (cycle detection).
   std::uint64_t hash() const;

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "grid/metrics.hpp"
+#include "push/engine.hpp"
 #include "support/check.hpp"
 #include "support/csv.hpp"
 
@@ -20,7 +22,7 @@ double NSpeeds::total() const {
 bool NSpeeds::valid() const {
   if (speeds.size() < 2) return false;
   for (double s : speeds)
-    if (!(s > 0)) return false;
+    if (!(s > 0) || !std::isfinite(s)) return false;
   for (std::size_t i = 1; i < speeds.size(); ++i)
     if (speeds[i] > speeds[0]) return false;
   return true;
@@ -51,8 +53,10 @@ NSpeeds NSpeeds::parse(const std::string& text) {
     const double v = std::strtod(cur, &end);
     if (end == cur)
       throw std::invalid_argument("NSpeeds::parse: bad vector '" + text + "'");
-    if (v <= 0)
-      throw std::invalid_argument("NSpeeds::parse: speeds must be positive");
+    if (!(v > 0) || !std::isfinite(v))
+      throw std::invalid_argument(
+          "NSpeeds::parse: speeds must be positive and finite in '" + text +
+          "'");
     out.speeds.push_back(v);
     cur = end;
     if (*cur == '\0') break;
@@ -122,7 +126,7 @@ NShapeStats summarizeShape(const NPartition& q) {
   stats.voc = q.volumeOfCommunication();
   stats.slowProcs = q.procs() - 1;
   for (NProcId p = 1; p < q.procs(); ++p)
-    if (q.isAsymptoticallyRectangular(p)) ++stats.rectangularProcs;
+    if (isAsymptoticallyRectangular(q, p)) ++stats.rectangularProcs;
   stats.allSlowRectangular = stats.rectangularProcs == stats.slowProcs;
   for (NProcId a = 1; a < q.procs(); ++a)
     for (NProcId b = a + 1; b < q.procs(); ++b)
@@ -144,7 +148,7 @@ NSearchResult runNSearch(int n, const NSpeeds& speeds, Rng& rng,
     bool anyApplied = false;
     bool anyImproved = false;
     for (const NScheduleSlot& slot : schedule) {
-      const auto out = tryPushN(q, slot.active, slot.dir);
+      const auto out = tryPushState(q, slot.active, slot.dir);
       if (!out.applied) continue;
       anyApplied = true;
       anyImproved |= out.improvedVoC();
@@ -161,7 +165,7 @@ NSearchResult runNSearch(int n, const NSpeeds& speeds, Rng& rng,
     }
   }
 
-  result.pushesApplied += condenseN(q);  // unrestricted directions
+  result.pushesApplied += beautifyState(q).pushesApplied;  // all directions
   result.vocEnd = q.volumeOfCommunication();
   result.stats = summarizeShape(q);
   return result;

@@ -3,7 +3,7 @@
 // The k-ary analogue of the DFA program: random start state sized by a
 // speed vector, random per-processor direction subsets, round-robin pushes
 // to a fixed point, then a summary of the condensed geometry. For k = 3 this
-// reproduces the paper's experiment through the generalized engine; for
+// reproduces the paper's experiment through the shared Push engine; for
 // k ≥ 4 it explores the territory the paper names as future work.
 #pragma once
 
@@ -11,7 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "nproc/npush.hpp"
+#include "nproc/npartition.hpp"
+#include "push/direction.hpp"
 #include "support/rng.hpp"
 
 namespace pushpart {
@@ -67,7 +68,8 @@ struct NSearchResult {
 };
 
 /// Full walk: schedule-restricted round-robin pushes to a fixed point, then
-/// an unrestricted condenseN pass (the k-ary beautify).
+/// an unrestricted beautify pass, both through the shared engine
+/// (push/engine.hpp).
 NSearchResult runNSearch(int n, const NSpeeds& speeds, Rng& rng,
                          std::int64_t maxPushes = 50'000'000);
 

@@ -2,15 +2,22 @@
 //
 // The legality ladder, the edge-clean scan, the transactional guards and the
 // beautify/compaction passes are written once as templates over the state
-// type Q. Two states instantiate them:
+// type Q and its owner type OwnerOf<Q>. Three states instantiate them:
 //
-//   * Partition (src/grid)  — the element-exact reference,
-//   * RlePartition (src/rle) — owner runs with incremental VoC.
+//   * Partition (src/grid)    — the element-exact three-processor reference,
+//   * RlePartition (src/rle)  — owner runs with incremental VoC,
+//   * NPartition (src/nproc)  — k processors, owners are indices 0..k-1.
 //
-// Both expose the same occupancy/counter API, so the engine's *decisions*
-// (which destination each edge element takes, which type fires, the exact
-// cell exchanges) are identical by construction; the differential suite in
-// src/verify locksteps the two instantiations to enforce that. For states
+// All expose the same occupancy/counter API plus their owner set: procs()
+// (how many owners), fastest() (the owner never pushed: P, or index 0) and
+// slowOwners() (the owners the engine moves, in beautify order). The
+// engine's *decisions* (which destination each edge element takes, which
+// type fires, the exact cell exchanges) are therefore identical by
+// construction; the differential suites in src/verify (grid vs RLE) and
+// tests/nproc (NPartition at k = 3 vs grid) lockstep the instantiations to
+// enforce that. Per-owner snapshots are fixed arrays for the
+// three-processor states, so their push path allocates no per-owner
+// storage. For states
 // that expose owner runs (HasOwnerRuns), the destination scan walks runs
 // instead of cells: per run the owner-side predicates are constant, so a
 // whole run is accepted or skipped with O(1) work, and only the
@@ -24,6 +31,7 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -41,6 +49,34 @@
 namespace pushpart {
 
 namespace engine_detail {
+
+/// Index of an owner into per-owner snapshots.
+template <typename Owner>
+constexpr std::size_t ownerSlot(Owner x) {
+  return static_cast<std::size_t>(x);
+}
+
+/// Per-owner snapshot storage, value-initialised: a fixed array for the
+/// three-processor states (no allocation on the push path), a vector sized
+/// to procs() for k-processor states.
+template <typename T, typename Q>
+auto perOwner(const Q& q) {
+  if constexpr (std::same_as<OwnerOf<Q>, Proc>) {
+    return std::array<T, kNumProcs>{};
+  } else {
+    return std::vector<T>(static_cast<std::size_t>(q.procs()));
+  }
+}
+
+/// Printable owner for check messages: 'R' for Proc, the index otherwise.
+template <typename Owner>
+auto ownerLabel(Owner x) {
+  if constexpr (std::same_as<Owner, Proc>) {
+    return procName(x);
+  } else {
+    return x;
+  }
+}
 
 /// How strongly a predicate binds: both the row and the column, either one,
 /// or not at all.
@@ -85,11 +121,13 @@ inline bool meets(Req req, bool inRow, bool inCol) {
 /// mutations to `log`. Returns the number of elements moved, or std::nullopt
 /// when some edge element found no legal destination (caller must roll back
 /// `log`).
-template <typename Q>
-std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
+template <typename Q, typename RectSnapshot>
+std::optional<int> attemptType(OrientedView<Q>& view, OwnerOf<Q> active,
                                const TypeRule& rule,
-                               const std::array<Rect, kNumProcs>& rectBefore,
-                               std::vector<CellUndo>& log) {
+                               const RectSnapshot& rectBefore,
+                               std::vector<CellUndo<OwnerOf<Q>>>& log) {
+  using Owner = OwnerOf<Q>;
+  const Owner fastest = view.partition().fastest();
   const Rect r = view.rect(active);
   // The active processor needs interior rows to move into; a single-row
   // occupancy cannot be pushed without enlarging its enclosing rectangle.
@@ -102,7 +140,7 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
   if constexpr (HasOwnerRuns<Q>) {
     int c = r.colBegin;
     while (c < r.colEnd) {
-      const OwnerRun run = view.rowRun(k, c);
+      const auto run = view.rowRun(k, c);
       const int end = run.end < r.colEnd ? run.end : r.colEnd;
       if (run.owner == active)
         for (int x = c; x < end; ++x) sources.push_back(x);
@@ -135,9 +173,9 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
         // re-evaluated per cell but cannot change.
         const bool rowActive = view.rowHas(active, g);
         while (h < r.colEnd) {
-          const OwnerRun run = view.rowRun(g, h);
+          const auto run = view.rowRun(g, h);
           const int end = run.end < r.colEnd ? run.end : r.colEnd;
-          const Proc owner = run.owner;
+          const Owner owner = run.owner;
           // Predicates constant over the run (pure, so evaluation order
           // relative to the reference's per-cell conjunction is
           // outcome-neutral): own cells are never destinations, the
@@ -146,7 +184,8 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
           if (owner == active ||
               !meets(rule.ownerPresence, view.rowHas(owner, k),
                      view.colHas(owner, c)) ||
-              !(owner == Proc::P || rectBefore[procSlot(owner)].contains(k, c))) {
+              !(owner == fastest ||
+                rectBefore[ownerSlot(owner)].contains(k, c))) {
             h = end;
             continue;
           }
@@ -172,7 +211,7 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
         }
       } else {
         while (h < r.colEnd) {
-          const Proc owner = view.at(g, h);
+          const Owner owner = view.at(g, h);
           if (owner != active &&
               meets(rule.activeDest, view.rowHas(active, g),
                     view.colHas(active, h)) &&
@@ -189,8 +228,8 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
               // P's current box — see DESIGN.md deviation 6). The
               // transactional VoC guard in tryPushState subsumes the rule's
               // purpose.
-              (owner == Proc::P ||
-               rectBefore[procSlot(owner)].contains(k, c))) {
+              (owner == fastest ||
+               rectBefore[ownerSlot(owner)].contains(k, c))) {
             view.set(k, c, owner, log);
             view.set(g, h, active, log);
             found = true;
@@ -212,13 +251,21 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
 
 }  // namespace engine_detail
 
-/// tryPush over any engine state (see push.hpp for the contract).
+/// tryPush over any engine state (see push.hpp for the contract). `active`
+/// must be a slow owner: not q.fastest(), and below q.procs().
 template <typename Q>
-PushOutcome tryPushState(Q& q, Proc active, Direction dir,
-                         const PushOptions& options = {}) {
-  PUSHPART_CHECK_MSG(active != Proc::P,
-                     "the fastest processor P is never the active processor");
-  PushOutcome out;
+BasicPushOutcome<OwnerOf<Q>> tryPushState(Q& q, OwnerOf<Q> active,
+                                          Direction dir,
+                                          const PushOptions& options = {}) {
+  using engine_detail::ownerLabel;
+  using engine_detail::ownerSlot;
+  PUSHPART_CHECK_MSG(active != q.fastest(),
+                     "the fastest processor " << ownerLabel(active)
+                         << " is never the active processor");
+  PUSHPART_CHECK_MSG(
+      ownerSlot(active) < static_cast<std::size_t>(q.procs()),
+      "active processor " << ownerLabel(active) << " out of range");
+  BasicPushOutcome<OwnerOf<Q>> out;
   out.direction = dir;
   out.active = active;
   out.vocBefore = q.volumeOfCommunication();
@@ -228,11 +275,12 @@ PushOutcome tryPushState(Q& q, Proc active, Direction dir,
 
   // Snapshot logical enclosing rectangles and counts for the transactional
   // guards.
-  std::array<Rect, kNumProcs> rectBefore;
-  std::array<std::int64_t, kNumProcs> countBefore{};
-  for (Proc x : kAllProcs) {
-    rectBefore[procSlot(x)] = view.rect(x);
-    countBefore[procSlot(x)] = q.count(x);
+  auto rectBefore = engine_detail::perOwner<Rect>(q);
+  auto countBefore = engine_detail::perOwner<std::int64_t>(q);
+  for (std::size_t s = 0; s < rectBefore.size(); ++s) {
+    const auto x = static_cast<OwnerOf<Q>>(s);
+    rectBefore[s] = view.rect(x);
+    countBefore[s] = q.count(x);
   }
 
   for (PushType type :
@@ -241,7 +289,7 @@ PushOutcome tryPushState(Q& q, Proc active, Direction dir,
     const engine_detail::TypeRule rule = engine_detail::ruleFor(type);
     if (!options.allowEqualVoC && !rule.strictImprovement) break;
 
-    std::vector<CellUndo> log;
+    std::vector<CellUndo<OwnerOf<Q>>> log;
     const auto moved =
         engine_detail::attemptType(view, active, rule, rectBefore, log);
     if (!moved) {
@@ -257,13 +305,14 @@ PushOutcome tryPushState(Q& q, Proc active, Direction dir,
       rollback(q, log);
       continue;
     }
-    for (Proc x : kAllProcs) {
+    for (std::size_t s = 0; s < rectBefore.size(); ++s) {
+      const auto x = static_cast<OwnerOf<Q>>(s);
       // P's rectangle is unconstrained (see the finder comment above).
       PUSHPART_CHECK_MSG(
-          x == Proc::P || rectBefore[procSlot(x)].contains(view.rect(x)),
-          "push enlarged the enclosing rectangle of " << procName(x));
-      PUSHPART_CHECK_MSG(q.count(x) == countBefore[procSlot(x)],
-                         "push changed the element count of " << procName(x));
+          x == q.fastest() || rectBefore[s].contains(view.rect(x)),
+          "push enlarged the enclosing rectangle of " << ownerLabel(x));
+      PUSHPART_CHECK_MSG(q.count(x) == countBefore[s],
+                         "push changed the element count of " << ownerLabel(x));
     }
 
     out.applied = true;
@@ -279,7 +328,7 @@ PushOutcome tryPushState(Q& q, Proc active, Direction dir,
 /// pushAvailable over any engine state (copies a scratch state and rolls
 /// attempts on the copy).
 template <typename Q>
-bool pushAvailableState(const Q& q, Proc active,
+bool pushAvailableState(const Q& q, OwnerOf<Q> active,
                         std::span<const Direction> dirs,
                         const PushOptions& options = {}) {
   Q scratch = q;
@@ -299,14 +348,15 @@ namespace engine_detail {
 /// that row with the displaced owner), so its partial line has to be a
 /// column — hence the caller tries several orientations.
 template <typename Q, typename RankFn>
-bool tryCompactLayout(Q& q, Proc x, const Rect& rect, RankFn rank) {
+bool tryCompactLayout(Q& q, OwnerOf<Q> x, const Rect& rect, RankFn rank) {
+  using Owner = OwnerOf<Q>;
   const std::int64_t own = q.count(x);
   auto targetIsX = [&](int i, int j) { return rank(i, j) < own; };
 
   std::vector<std::pair<int, int>> gain, release;
   for (int i = rect.rowBegin; i < rect.rowEnd; ++i)
     for (int j = rect.colBegin; j < rect.colEnd; ++j) {
-      const Proc owner = q.at(i, j);
+      const Owner owner = q.at(i, j);
       const bool isX = owner == x;
       if (targetIsX(i, j) && !isX) {
         // Only holes owned by the fastest processor P may be swapped out.
@@ -314,7 +364,7 @@ bool tryCompactLayout(Q& q, Proc x, const Rect& rect, RankFn rank) {
         // compactions displace each other back and forth at equal VoC —
         // a livelock. With P-only holes, each compaction is idempotent and
         // cannot disturb the other slow processor's region.
-        if (owner != Proc::P) return false;
+        if (owner != q.fastest()) return false;
         gain.push_back({i, j});
       } else if (!targetIsX(i, j) && isX) {
         release.push_back({i, j});
@@ -324,10 +374,11 @@ bool tryCompactLayout(Q& q, Proc x, const Rect& rect, RankFn rank) {
   PUSHPART_CHECK(gain.size() == release.size());
 
   const std::int64_t vocBefore = q.volumeOfCommunication();
-  std::array<Rect, kNumProcs> rectBefore;
-  for (Proc p : kAllProcs) rectBefore[procSlot(p)] = q.enclosingRect(p);
+  auto rectBefore = perOwner<Rect>(q);
+  for (Owner p : q.slowOwners())
+    rectBefore[ownerSlot(p)] = q.enclosingRect(p);
 
-  std::vector<Proc> displaced;
+  std::vector<Owner> displaced;
   displaced.reserve(gain.size());
   for (const auto& [i, j] : gain) {
     displaced.push_back(q.at(i, j));
@@ -342,9 +393,9 @@ bool tryCompactLayout(Q& q, Proc x, const Rect& rect, RankFn rank) {
   // to change — it plays no role in VoC, and the paper's own Thm 8.2
   // transformations reshape enclosing rectangles as long as communication
   // does not increase.
-  for (Proc p : kSlowProcs) {
+  for (Owner p : q.slowOwners()) {
     const Rect after = q.enclosingRect(p);
-    ok = ok && rectBefore[procSlot(p)].contains(after);
+    ok = ok && rectBefore[ownerSlot(p)].contains(after);
   }
   if (!ok) {
     for (std::size_t k = 0; k < release.size(); ++k)
@@ -360,7 +411,8 @@ bool tryCompactLayout(Q& q, Proc x, const Rect& rect, RankFn rank) {
 
 /// compactRegion over any engine state (see beautify.hpp for the contract).
 template <typename Q>
-bool compactRegionState(Q& q, Proc x) {
+bool compactRegionState(Q& q, OwnerOf<Q> x) {
+  const OwnerOf<Q> fastest = q.fastest();
   const Rect rect = q.enclosingRect(x);
   if (rect.isEmpty()) return false;
   if (q.count(x) == rect.area()) return false;  // already solid
@@ -390,7 +442,7 @@ bool compactRegionState(Q& q, Proc x) {
     std::vector<int> pInRectRow(static_cast<std::size_t>(rect.height()), 0);
     for (int i = rb; i < re; ++i)
       for (int j = cb; j < ce; ++j)
-        if (q.at(i, j) == Proc::P) {
+        if (q.at(i, j) == fastest) {
           ++pInRectCol[static_cast<std::size_t>(j - cb)];
           ++pInRectRow[static_cast<std::size_t>(i - rb)];
         }
@@ -404,11 +456,11 @@ bool compactRegionState(Q& q, Proc x) {
     };
     assignPositions(colPos, [&](std::size_t lane) {
       const int j = cb + static_cast<int>(lane);
-      return q.colCount(Proc::P, j) - pInRectCol[lane] == 0;
+      return q.colCount(fastest, j) - pInRectCol[lane] == 0;
     });
     assignPositions(rowPos, [&](std::size_t lane) {
       const int i = rb + static_cast<int>(lane);
-      return q.rowCount(Proc::P, i) - pInRectRow[lane] == 0;
+      return q.rowCount(fastest, i) - pInRectRow[lane] == 0;
     });
   }
 
@@ -484,14 +536,14 @@ BeautifyResult beautifyState(Q& q) {
   // and Six: termination is guaranteed because every applied push strictly
   // shrinks the active processor's enclosing-rectangle area (its edge row is
   // cleaned and destinations lie strictly inside) while no other rectangle
-  // may grow, so Σ rectArea(R) + rectArea(S) is a strictly decreasing
-  // non-negative potential. Compaction keeps rectangles fixed and is
+  // may grow, so the sum of the slow owners' rectangle areas is a strictly
+  // decreasing non-negative potential. Compaction keeps rectangles fixed and is
   // idempotent at a fixed state, so interleaving it cannot produce cycles.
   std::unordered_set<std::uint64_t> seen;  // belt-and-braces cycle guard
   bool any = true;
   while (any) {
     any = false;
-    for (Proc active : kSlowProcs) {
+    for (const auto active : q.slowOwners()) {
       for (Direction d : kAllDirections) {
         while (tryPushState(q, active, d).applied) {
           ++result.pushesApplied;
@@ -499,7 +551,7 @@ BeautifyResult beautifyState(Q& q) {
         }
       }
     }
-    for (Proc active : kSlowProcs) {
+    for (const auto active : q.slowOwners()) {
       if (compactRegionState(q, active)) any = true;
     }
     if (any && !seen.insert(q.hash()).second) break;
@@ -511,7 +563,7 @@ BeautifyResult beautifyState(Q& q) {
 /// fullyCondensed over any engine state (see beautify.hpp for the contract).
 template <typename Q>
 bool fullyCondensedState(const Q& q) {
-  for (Proc active : kSlowProcs) {
+  for (const auto active : q.slowOwners()) {
     if (pushAvailableState(q, active, kAllDirections, PushOptions{}))
       return false;
   }

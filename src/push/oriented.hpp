@@ -15,13 +15,17 @@
 // failed push attempt can be rolled back exactly.
 //
 // The view is a template over the state type Q so the same engine drives the
-// element-exact Partition and the run-length RlePartition; Q must provide
-// at/set/rowHas/colHas/enclosingRect/n. States that additionally expose
-// owner runs (rowRunAt/colRunAt) get a run-granular rowRun() accessor, which
-// the push engine uses to skip whole runs per legality decision.
+// element-exact Partition, the run-length RlePartition and the k-processor
+// NPartition; Q must provide at/set/rowHas/colHas/enclosingRect/n. The owner
+// type is whatever Q::at returns (Proc, or a processor index). States that
+// additionally expose owner runs (rowRunAt/colRunAt) get a run-granular
+// rowRun() accessor, which the push engine uses to skip whole runs per
+// legality decision.
 #pragma once
 
 #include <concepts>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "grid/partition.hpp"
@@ -29,17 +33,25 @@
 
 namespace pushpart {
 
+/// Owner type of an engine state: Proc for the three-processor states,
+/// NProcId for NPartition.
+template <typename Q>
+using OwnerOf =
+    std::remove_cvref_t<decltype(std::declval<const Q&>().at(0, 0))>;
+
 /// One grid mutation, recorded for rollback (physical coordinates).
+template <typename Owner>
 struct CellUndo {
   int i;
   int j;
-  Proc previous;
+  Owner previous;
 };
 
 /// A maximal same-owner segment of a logical row, ending (exclusive) at
 /// logical column `end`.
+template <typename Owner>
 struct OwnerRun {
-  Proc owner;
+  Owner owner;
   int end;
 };
 
@@ -49,35 +61,37 @@ struct OwnerRun {
 /// {owner, exclusive physical end index}.
 template <typename Q>
 concept HasOwnerRuns = requires(const Q& q, int i, int j) {
-  { q.rowRunAt(i, j).owner } -> std::convertible_to<Proc>;
+  { q.rowRunAt(i, j).owner } -> std::convertible_to<OwnerOf<Q>>;
   { q.rowRunAt(i, j).end } -> std::convertible_to<int>;
-  { q.colRunAt(j, i).owner } -> std::convertible_to<Proc>;
+  { q.colRunAt(j, i).owner } -> std::convertible_to<OwnerOf<Q>>;
   { q.colRunAt(j, i).end } -> std::convertible_to<int>;
 };
 
 template <typename Q>
 class OrientedView {
  public:
+  using Owner = OwnerOf<Q>;
+
   OrientedView(Q& q, Direction dir) : q_(q), dir_(dir) {}
 
   int n() const { return q_.n(); }
 
-  Proc at(int r, int c) const {
+  Owner at(int r, int c) const {
     const auto [i, j] = toPhysical(r, c);
     return q_.at(i, j);
   }
 
   /// Reassigns a cell and records the previous owner in `undo`.
-  void set(int r, int c, Proc p, std::vector<CellUndo>& undo) {
+  void set(int r, int c, Owner p, std::vector<CellUndo<Owner>>& undo) {
     const auto [i, j] = toPhysical(r, c);
-    const Proc prev = q_.at(i, j);
+    const Owner prev = q_.at(i, j);
     if (prev == p) return;
     undo.push_back({i, j, prev});
     q_.set(i, j, p);
   }
 
   /// Does logical row r contain any element of p?
-  bool rowHas(Proc p, int r) const {
+  bool rowHas(Owner p, int r) const {
     switch (dir_) {
       case Direction::Down: return q_.rowHas(p, r);
       case Direction::Up: return q_.rowHas(p, n() - 1 - r);
@@ -88,7 +102,7 @@ class OrientedView {
   }
 
   /// Does logical column c contain any element of p?
-  bool colHas(Proc p, int c) const {
+  bool colHas(Owner p, int c) const {
     switch (dir_) {
       case Direction::Down:
       case Direction::Up: return q_.colHas(p, c);
@@ -99,7 +113,7 @@ class OrientedView {
   }
 
   /// p's enclosing rectangle in logical coordinates.
-  Rect rect(Proc p) const {
+  Rect rect(Owner p) const {
     const Rect r = q_.enclosingRect(p);
     if (r.isEmpty()) return Rect::empty();
     switch (dir_) {
@@ -120,7 +134,7 @@ class OrientedView {
   /// states. In all four orientations a logical row maps onto one physical
   /// row or column traversed in *increasing* physical index, so the physical
   /// run end is already the logical one.
-  OwnerRun rowRun(int r, int c) const
+  OwnerRun<Owner> rowRun(int r, int c) const
     requires HasOwnerRuns<Q>
   {
     switch (dir_) {
@@ -171,7 +185,7 @@ using OrientedGrid = OrientedView<Partition>;
 
 /// Reverts mutations recorded by OrientedView::set, newest first.
 template <typename Q>
-inline void rollback(Q& q, const std::vector<CellUndo>& undo) {
+inline void rollback(Q& q, const std::vector<CellUndo<OwnerOf<Q>>>& undo) {
   for (auto it = undo.rbegin(); it != undo.rend(); ++it)
     q.set(it->i, it->j, it->previous);
 }

@@ -50,18 +50,23 @@ constexpr const char* pushTypeName(PushType t) {
   return "?";
 }
 
-/// Result of one push attempt.
-struct PushOutcome {
+/// Result of one push attempt on a state whose owners are `Owner` (Proc, or
+/// a processor index for k-processor states).
+template <typename Owner>
+struct BasicPushOutcome {
   bool applied = false;                ///< Did the partition change?
   PushType type = PushType::kType1;    ///< Legality type that succeeded.
   Direction direction = Direction::Down;
-  Proc active = Proc::R;
+  Owner active{};
   std::int64_t vocBefore = 0;
   std::int64_t vocAfter = 0;
   int elementsMoved = 0;               ///< Elements of X relocated.
 
   bool improvedVoC() const { return applied && vocAfter < vocBefore; }
 };
+
+/// Result of one push attempt on a three-processor state.
+using PushOutcome = BasicPushOutcome<Proc>;
 
 struct PushOptions {
   /// Permit Types Five and Six (VoC-preserving pushes). The DFA needs them to

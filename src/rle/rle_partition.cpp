@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/check.hpp"
+#include "support/fnv1a.hpp"
 #include "support/scan.hpp"
 
 namespace pushpart {
@@ -287,21 +288,17 @@ std::uint64_t RlePartition::hash() const {
   // FNV-1a over the row runs. The run form is canonical, so equal states
   // hash equally; collisions only risk a premature cycle verdict in the
   // DFA, never a correctness violation.
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  const auto mix = [&h](std::uint64_t byte) {
-    h ^= byte;
-    h *= 0x100000001B3ull;
-  };
+  Fnv1a h;
   for (const auto& runs : rowRuns_) {
     for (const Run& run : runs) {
       const auto end = static_cast<std::uint32_t>(run.end);
-      mix(end & 0xFF);
-      mix((end >> 8) & 0xFF);
-      mix((end >> 16) & 0xFF);
-      mix(static_cast<std::uint64_t>(run.owner));
+      h.add(static_cast<std::uint8_t>(end));
+      h.add(static_cast<std::uint8_t>(end >> 8));
+      h.add(static_cast<std::uint8_t>(end >> 16));
+      h.add(static_cast<std::uint8_t>(run.owner));
     }
   }
-  return h;
+  return h.value;
 }
 
 bool RlePartition::sameOwners(const Partition& q) const {

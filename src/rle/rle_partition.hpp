@@ -37,7 +37,7 @@
 
 namespace pushpart {
 
-class RlePartition {
+class RlePartition : public ProcOwners {
  public:
   /// One maximal same-owner segment of a line: covers [previous run's end,
   /// end). The first run of a line begins at 0.

@@ -20,15 +20,6 @@ double roundForKey(double v) {
 
 }  // namespace
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : text) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 CanonicalKey canonicalize(const PlanRequest& req) {
   if (req.n <= 0)
     throw std::invalid_argument("PlanRequest: n must be positive, got " +

@@ -17,6 +17,7 @@
 #include "grid/ratio.hpp"
 #include "model/algo.hpp"
 #include "model/topology.hpp"
+#include "support/fnv1a.hpp"  // fnv1a: key hash, shard and ring choice
 
 namespace pushpart {
 
@@ -67,8 +68,5 @@ struct CanonicalKey {
 /// Throws std::invalid_argument on malformed requests (n <= 0, invalid
 /// ratio, non-positive tier-B budget).
 CanonicalKey canonicalize(const PlanRequest& req);
-
-/// FNV-1a 64-bit hash (exposed for tests and the cache's shard choice).
-std::uint64_t fnv1a(const std::string& text);
 
 }  // namespace pushpart

@@ -1,6 +1,8 @@
 #include "support/flags.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace pushpart {
@@ -48,20 +50,40 @@ std::int64_t Flags::i64(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0')
     throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
                                 it->second + "'");
+  if (errno == ERANGE)
+    throw std::invalid_argument("flag --" + name +
+                                " expects a 64-bit integer, got '" +
+                                it->second + "'");
   return v;
+}
+
+int Flags::i32(const std::string& name, int fallback) const {
+  const std::int64_t v = i64(name, fallback);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    throw std::invalid_argument("flag --" + name +
+                                " expects a 32-bit integer, got '" +
+                                str(name, "") + "'");
+  return static_cast<int>(v);
 }
 
 double Flags::f64(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
   if (end == it->second.c_str() || *end != '\0')
     throw std::invalid_argument("flag --" + name + " expects a number, got '" +
+                                it->second + "'");
+  if (errno == ERANGE)
+    throw std::invalid_argument("flag --" + name +
+                                " expects a number within double range, got '" +
                                 it->second + "'");
   return v;
 }

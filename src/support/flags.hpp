@@ -24,7 +24,12 @@ class Flags {
   bool has(const std::string& name) const;
 
   std::string str(const std::string& name, const std::string& fallback) const;
+  /// Integer and floating-point reads throw std::invalid_argument
+  /// ("flag --x expects ...") on malformed or out-of-range values instead of
+  /// saturating or narrowing them.
   std::int64_t i64(const std::string& name, std::int64_t fallback) const;
+  /// An i64 that must also fit an int (sizes, counts, thread numbers).
+  int i32(const std::string& name, int fallback) const;
   double f64(const std::string& name, double fallback) const;
   bool b(const std::string& name, bool fallback) const;
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace pushpart {
@@ -29,6 +30,16 @@ TEST(RatioTest, ParseErrors) {
   EXPECT_THROW(Ratio::parse("5:2:1:1"), std::invalid_argument);
   EXPECT_THROW(Ratio::parse("5:2:0"), std::invalid_argument);
   EXPECT_THROW(Ratio::parse("-5:2:1"), std::invalid_argument);
+}
+
+TEST(RatioTest, NonFiniteSpeedsRejected) {
+  // strtod accepts "inf" and "nan" and overflows "1e400" to infinity; none
+  // is a speed.
+  for (const char* text : {"inf:2:1", "5:inf:1", "1e400:2:1", "nan:2:1",
+                           "5:2:nan", "infinity:1:1"})
+    EXPECT_THROW(Ratio::parse(text), std::invalid_argument) << text;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE((Ratio{inf, 2, 1}).valid());
 }
 
 TEST(RatioTest, RoundTripString) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "grid/metrics.hpp"
 #include "nproc/nshapes.hpp"
+#include "push/engine.hpp"
 
 namespace pushpart {
 namespace {
@@ -60,7 +62,7 @@ TEST(FourProcShapeTest, SlowProcessorsAsymptoticallyRectangular) {
        {FourProcShape::kBlockColumns, FourProcShape::kColumnStrips}) {
     const auto q = makeFourProcCandidate(shape, n, kSpeeds);
     for (NProcId p = 1; p < 4; ++p)
-      EXPECT_TRUE(q.isAsymptoticallyRectangular(p))
+      EXPECT_TRUE(isAsymptoticallyRectangular(q, p))
           << fourProcShapeName(shape) << " proc " << p;
   }
 }
@@ -82,7 +84,7 @@ TEST(FourProcShapeTest, CandidatesAreCondensed) {
     auto q = makeFourProcCandidate(shape, 40, kSpeeds);
     for (NProcId p = 1; p < 4; ++p)
       for (Direction d : kAllDirections)
-        EXPECT_FALSE(tryPushN(q, p, d, strictOnly).applied)
+        EXPECT_FALSE(tryPushState(q, p, d, strictOnly).applied)
             << fourProcShapeName(shape) << " proc " << p << " "
             << directionName(d);
   }

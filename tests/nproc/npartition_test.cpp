@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "grid/metrics.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -50,7 +51,7 @@ TEST(NPartitionTest, FourProcQuadrantsVoC) {
   EXPECT_EQ(q.volumeOfCommunication(), 2LL * n * n);
   for (NProcId p = 0; p < 4; ++p) {
     EXPECT_EQ(q.count(p), n * n / 4);
-    EXPECT_TRUE(q.isAsymptoticallyRectangular(p));
+    EXPECT_TRUE(isAsymptoticallyRectangular(q, p));
   }
   q.validateCounters();
 }
@@ -67,12 +68,12 @@ TEST(NPartitionTest, AsymptoticRectangularity) {
   NPartition q(5, 3);
   for (int i = 1; i < 4; ++i)
     for (int j = 1; j < 4; ++j) q.set(i, j, 1);
-  EXPECT_TRUE(q.isAsymptoticallyRectangular(1));
+  EXPECT_TRUE(isAsymptoticallyRectangular(q, 1));
   q.set(1, 1, 0);  // partial top row
-  EXPECT_TRUE(q.isAsymptoticallyRectangular(1));
+  EXPECT_TRUE(isAsymptoticallyRectangular(q, 1));
   q.set(2, 2, 0);  // interior hole
-  EXPECT_FALSE(q.isAsymptoticallyRectangular(1));
-  EXPECT_FALSE(q.isAsymptoticallyRectangular(2));  // absent proc
+  EXPECT_FALSE(isAsymptoticallyRectangular(q, 1));
+  EXPECT_FALSE(isAsymptoticallyRectangular(q, 2));  // absent proc
 }
 
 TEST(NPartitionTest, HashAndEquality) {

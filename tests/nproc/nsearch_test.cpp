@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 namespace pushpart {
@@ -20,6 +21,15 @@ TEST(NSpeedsTest, ParseErrors) {
   EXPECT_THROW(NSpeeds::parse("5"), std::invalid_argument);
   EXPECT_THROW(NSpeeds::parse("5:-1"), std::invalid_argument);
   EXPECT_THROW(NSpeeds::parse("5;2"), std::invalid_argument);
+}
+
+TEST(NSpeedsTest, NonFiniteSpeedsRejected) {
+  for (const char* text : {"inf:2:1:1", "1e400:2:1", "8:4:inf", "nan:1",
+                           "4:nan:1"})
+    EXPECT_THROW(NSpeeds::parse(text), std::invalid_argument) << text;
+  NSpeeds s;
+  s.speeds = {std::numeric_limits<double>::infinity(), 2, 1};
+  EXPECT_FALSE(s.valid());
 }
 
 TEST(NSpeedsTest, FastestFirstRequired) {

@@ -4,7 +4,8 @@
 
 #include <cmath>
 
-#include "nproc/npush.hpp"
+#include "grid/metrics.hpp"
+#include "push/engine.hpp"
 #include "support/check.hpp"
 
 namespace pushpart {
@@ -18,7 +19,7 @@ TEST(TwoProcShapeTest, StraightLineGeometry) {
   EXPECT_EQ(r.rowBegin, 0);
   EXPECT_EQ(r.rowEnd, n);
   EXPECT_EQ(r.colEnd, n);
-  EXPECT_TRUE(q.isAsymptoticallyRectangular(1));
+  EXPECT_TRUE(isAsymptoticallyRectangular(q, 1));
   EXPECT_EQ(q.count(1), static_cast<std::int64_t>(n) * n / 4);
 }
 
@@ -29,7 +30,7 @@ TEST(TwoProcShapeTest, SquareCornerGeometry) {
   EXPECT_EQ(r.rowEnd, n);
   EXPECT_EQ(r.colEnd, n);
   EXPECT_LE(std::abs(r.width() - r.height()), 1);
-  EXPECT_TRUE(q.isAsymptoticallyRectangular(1));
+  EXPECT_TRUE(isAsymptoticallyRectangular(q, 1));
 }
 
 TEST(TwoProcShapeTest, ExactCounts) {
@@ -114,7 +115,7 @@ TEST(TwoProcShapeTest, CandidatesArePushFixedPoints) {
          {TwoProcShape::kStraightLine, TwoProcShape::kSquareCorner}) {
       auto q = makeTwoProcCandidate(s, n, p);
       for (Direction d : kAllDirections) {
-        EXPECT_FALSE(tryPushN(q, 1, d, strictOnly).applied)
+        EXPECT_FALSE(tryPushState(q, 1, d, strictOnly).applied)
             << twoProcShapeName(s) << " " << directionName(d);
       }
     }

@@ -76,7 +76,7 @@ TEST(OrientedGridTest, RowColHasRespectsOrientation) {
 
 TEST(OrientedGridTest, SetWritesThroughAndRecordsUndo) {
   auto q = makeGrid();
-  std::vector<CellUndo> undo;
+  std::vector<CellUndo<Proc>> undo;
   OrientedGrid v(q, Direction::Up);
   v.set(3, 1, Proc::S, undo);  // physical (0,1), previously R
   EXPECT_EQ(q.at(0, 1), Proc::S);
@@ -88,7 +88,7 @@ TEST(OrientedGridTest, SetWritesThroughAndRecordsUndo) {
 
 TEST(OrientedGridTest, SetSameOwnerRecordsNothing) {
   auto q = makeGrid();
-  std::vector<CellUndo> undo;
+  std::vector<CellUndo<Proc>> undo;
   OrientedGrid v(q, Direction::Down);
   v.set(0, 1, Proc::R, undo);
   EXPECT_TRUE(undo.empty());
@@ -97,7 +97,7 @@ TEST(OrientedGridTest, SetSameOwnerRecordsNothing) {
 TEST(OrientedGridTest, RollbackRestoresExactState) {
   auto q = makeGrid();
   const auto original = q;
-  std::vector<CellUndo> undo;
+  std::vector<CellUndo<Proc>> undo;
   OrientedGrid v(q, Direction::Left);
   v.set(0, 0, Proc::R, undo);
   v.set(1, 2, Proc::P, undo);

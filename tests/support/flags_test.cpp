@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace pushpart {
 namespace {
@@ -62,6 +63,48 @@ TEST(FlagsTest, BooleanSpellings) {
 TEST(FlagsTest, MalformedIntegerThrows) {
   const auto f = make({"--n=abc"});
   EXPECT_THROW(f.i64("n", 0), std::invalid_argument);
+}
+
+TEST(FlagsTest, OutOfRangeIntegerThrows) {
+  // strtoll saturates at the 64-bit limits; a saturated value must not be
+  // mistaken for what the user typed.
+  const auto f =
+      make({"--n=99999999999999999999999", "--m=-99999999999999999999999"});
+  EXPECT_THROW(f.i64("n", 0), std::invalid_argument);
+  EXPECT_THROW(f.i64("m", 0), std::invalid_argument);
+  EXPECT_THROW(f.i32("n", 0), std::invalid_argument);
+}
+
+TEST(FlagsTest, CheckedIntRead) {
+  const auto f =
+      make({"--n=4294967396", "--runs=4294967297", "--big=2147483647",
+            "--small=-2147483648", "--over=2147483648", "--ok=48"});
+  EXPECT_EQ(f.i32("ok", 0), 48);
+  EXPECT_EQ(f.i32("absent", 7), 7);
+  EXPECT_EQ(f.i32("big", 0), 2147483647);
+  EXPECT_EQ(f.i32("small", 0), -2147483647 - 1);
+  // Values that fit an int64 but not an int are refused, not truncated
+  // (4294967396 would otherwise wrap to 100, 4294967297 to 1).
+  EXPECT_EQ(f.i64("n", 0), 4294967396);
+  for (const char* name : {"n", "runs", "over"}) {
+    try {
+      (void)f.i32(name, 0);
+      ADD_FAILURE() << "--" << name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("flag --") + name +
+                                           " expects"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(make({"--n=abc"}).i32("n", 0), std::invalid_argument);
+}
+
+TEST(FlagsTest, OutOfRangeDoubleThrows) {
+  const auto f = make({"--x=1e400", "--y=-1e400", "--z=1e300"});
+  EXPECT_THROW(f.f64("x", 0), std::invalid_argument);
+  EXPECT_THROW(f.f64("y", 0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(f.f64("z", 0), 1e300);
 }
 
 TEST(FlagsTest, MalformedBooleanThrows) {

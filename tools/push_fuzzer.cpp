@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   const double seconds = flags.f64("seconds", 30.0);
   const auto maxRuns = flags.i64("max-runs", 0);
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed", 1));
-  const int minN = static_cast<int>(flags.i64("min-n", 24));
-  const int maxN = static_cast<int>(flags.i64("max-n", 96));
+  const int minN = flags.i32("min-n", 24);
+  const int maxN = flags.i32("max-n", 96);
   if (minN < 3 || maxN < minN) {
     std::fprintf(stderr,
                  "error: need 3 <= --min-n <= --max-n (got %d and %d)\n", minN,
@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
   const std::string dumpDir = flags.str("dump-dir", ".");
   const auto validateEvery = flags.i64("validate-every", 50);
   const unsigned hw = std::thread::hardware_concurrency();
-  const int threads = static_cast<int>(
-      flags.i64("threads", 0) > 0 ? flags.i64("threads", 0)
-                                  : (hw > 0 ? hw : 2));
+  const int threadsFlag = flags.i32("threads", 0);
+  const int threads =
+      threadsFlag > 0 ? threadsFlag : static_cast<int>(hw > 0 ? hw : 2);
 
   std::printf("push_fuzzer: hunting Postulate 1 counterexamples for %.0f s "
               "on %d threads (n in [%d, %d])\n",

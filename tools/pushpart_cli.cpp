@@ -177,7 +177,7 @@ Partition loadInput(const Flags& flags) {
 }
 
 int cmdSearch(const Flags& flags) {
-  const int n = static_cast<int>(flags.i64("n", 60));
+  const int n = flags.i32("n", 60);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "5:2:1"));
   Rng rng(static_cast<std::uint64_t>(flags.i64("seed", 1)));
   const Schedule schedule = Schedule::random(rng);
@@ -224,7 +224,7 @@ int cmdVoc(const Flags& flags) {
 }
 
 int cmdRecommend(const Flags& flags) {
-  const int n = static_cast<int>(flags.i64("n", 120));
+  const int n = flags.i32("n", 120);
   const Machine machine = machineFromFlags(flags, "10:1:1");
   const Algo algo = parseAlgo(flags, "SCB");
   const Topology topology = flags.str("topology", "full") == "star"
@@ -272,7 +272,7 @@ int cmdRecommend(const Flags& flags) {
 
 PlanRequest planRequestFromFlags(const Flags& flags) {
   PlanRequest req;
-  req.n = static_cast<int>(flags.i64("n", 1000));
+  req.n = flags.i32("n", 1000);
   req.ratio = Ratio::parse(flags.str("ratio", "5:2:1"));
   req.algo = parseAlgo(flags, "SCB");
   req.topology = flags.str("topology", "full") == "star"
@@ -288,7 +288,7 @@ PlanRequest planRequestFromFlags(const Flags& flags) {
   else if (tier == "search") req.tier = PlanTier::kSearch;
   else throw std::invalid_argument("unknown --tier=" + tier +
                                    " (expected fast or search)");
-  req.searchRuns = static_cast<int>(flags.i64("runs", 16));
+  req.searchRuns = flags.i32("runs", 16);
   req.searchSeed = static_cast<std::uint64_t>(flags.i64("seed", 1));
   return req;
 }
@@ -410,7 +410,7 @@ int runAdaptivePlan(Oracle& oracle, const Flags& flags) {
   AdaptiveSessionOptions options;
   options.base = planRequestFromFlags(flags);
   options.staleGapPct = flags.f64("stale-gap-pct", 5.0);
-  options.hysteresisPhases = static_cast<int>(flags.i64("hysteresis", 2));
+  options.hysteresisPhases = flags.i32("hysteresis", 2);
   options.minReplanSeconds = flags.f64("min-replan-s", 0.0);
   FakeClock clock;
   options.clock = &clock;
@@ -420,7 +420,7 @@ int runAdaptivePlan(Oracle& oracle, const Flags& flags) {
 
   const Ratio observed = Ratio::parse(
       flags.str("observed-ratio", flags.str("ratio", "5:2:1")));
-  const int phases = static_cast<int>(flags.i64("phases", 6));
+  const int phases = flags.i32("phases", 6);
   for (int i = 0; i < phases; ++i) {
     clock.advance(1.0);
     PhaseSample sample;
@@ -452,8 +452,8 @@ int cmdPlanOracle(const Flags& flags) {
   OracleOptions options;
   options.machine = machineFromFlags(flags, "5:2:1");
   options.admission.maxConcurrency =
-      static_cast<int>(flags.i64("max-concurrency", 0));
-  options.admission.maxQueue = static_cast<int>(flags.i64("max-queue", 16));
+      flags.i32("max-concurrency", 0);
+  options.admission.maxQueue = flags.i32("max-queue", 16);
   options.families = FamilySet::parse(flags.str("families", "canonical"));
 
   const std::string atlasPath = flags.str("atlas", "");
@@ -577,19 +577,19 @@ int cmdAtlasBuild(const Flags& flags) {
   AtlasBuildOptions options;
   options.spec.prMin = flags.f64("pr-min", 1.0);
   options.spec.prMax = flags.f64("pr-max", 20.0);
-  options.spec.prSteps = static_cast<int>(flags.i64("pr-steps", 20));
+  options.spec.prSteps = flags.i32("pr-steps", 20);
   options.spec.rrMin = flags.f64("rr-min", 1.0);
   options.spec.rrMax = flags.f64("rr-max", 10.0);
-  options.spec.rrSteps = static_cast<int>(flags.i64("rr-steps", 10));
-  options.info.n = static_cast<int>(flags.i64("n", 96));
+  options.spec.rrSteps = flags.i32("rr-steps", 10);
+  options.info.n = flags.i32("n", 96);
   options.info.algo = parseAlgo(flags, "SCB");
   options.info.machine = machineFromFlags(flags, "2:1:1");
-  const int searchRuns = static_cast<int>(flags.i64("search-runs", 0));
+  const int searchRuns = flags.i32("search-runs", 0);
   options.info.searchBacked = searchRuns > 0;
   options.info.searchRuns = searchRuns;
   options.info.seed = static_cast<std::uint64_t>(flags.i64("seed", 1));
   options.info.tieSnapPct = flags.f64("tie-pct", 1.0);
-  options.threads = static_cast<int>(flags.i64("threads", 0));
+  options.threads = flags.i32("threads", 0);
   options.onCell = [](std::size_t done, std::size_t total) {
     // Coarse progress: one line per ~10% so a big sweep isn't silent.
     if (total >= 10 && done % (total / 10) == 0)
@@ -692,7 +692,7 @@ int cmdAtlasQuery(const Flags& flags) {
   const AtlasLoadReport report = loadAtlasOrThrow(flags);
   const PlanAtlas& atlas = *report.atlas;
   const Ratio ratio = Ratio::parse(flags.str("ratio", "7:2:1"));
-  const int n = static_cast<int>(flags.i64("n", 1000));
+  const int n = flags.i32("n", 1000);
   const double gapPct = flags.f64("gap-pct", 5.0);
 
   const AtlasLookup lk = atlas.lookup(ratio);
@@ -765,16 +765,16 @@ int cmdAtlas(const Flags& flags) {
 
 int cmdCluster(const Flags& flags) {
   ClusterOptions options;
-  options.nodes = static_cast<int>(flags.i64("nodes", 3));
-  options.replication = static_cast<int>(flags.i64("replication", 2));
-  options.vnodesPerNode = static_cast<int>(flags.i64("vnodes", 32));
+  options.nodes = flags.i32("nodes", 3);
+  options.replication = flags.i32("replication", 2);
+  options.vnodesPerNode = flags.i32("vnodes", 32);
   options.oracle.machine = machineFromFlags(flags, "5:2:1");
   options.faults.seed = static_cast<std::uint64_t>(flags.i64("seed", 1));
   options.faults.heartbeatDropProbability = flags.f64("heartbeat-drop", 0.0);
 
   // One scripted fault per drill, all windows in cluster-clock seconds; the
   // same flags replay the same drill bit-for-bit.
-  const int node = static_cast<int>(flags.i64("node", 1));
+  const int node = flags.i32("node", 1);
   const double at = flags.f64("at", 1.0);
   const double until = flags.f64("until", 2.5);
   const double duration = flags.f64("duration", 4.0);
@@ -891,15 +891,15 @@ int cmdDrift(const Flags& flags) {
   Oracle oracle(oracleOptions);
 
   DriftScenarioOptions options;
-  options.phases = static_cast<int>(flags.i64("phases", 120));
+  options.phases = flags.i32("phases", 120);
   options.seed = static_cast<std::uint64_t>(flags.i64("seed", 42));
-  options.n = static_cast<int>(flags.i64("n", 96));
+  options.n = flags.i32("n", 96);
   options.algo = parseAlgo(flags, "SCB");
   options.wanderStep = flags.f64("wander", 0.05);
   options.regretBound = flags.f64("regret-bound", 1.25);
   options.session.staleGapPct = flags.f64("stale-gap-pct", 5.0);
   options.session.hysteresisPhases =
-      static_cast<int>(flags.i64("hysteresis", 2));
+      flags.i32("hysteresis", 2);
   options.session.minReplanSeconds = flags.f64("min-replan-s", 0.0);
   options.session.base.tier = flags.str("tier", "fast") == "search"
                                   ? PlanTier::kSearch
@@ -908,7 +908,7 @@ int cmdDrift(const Flags& flags) {
   // One scripted fault, windows in drill-clock seconds (phases are 1 s
   // apart); the same flags replay the same drill bit-for-bit.
   const std::string drill = flags.str("drill", "slow");
-  const int node = static_cast<int>(flags.i64("node", 0));
+  const int node = flags.i32("node", 0);
   const double at = flags.f64("at", 30.0);
   const double until = flags.f64("until", 60.0);
   if (drill == "slow")
@@ -1022,7 +1022,7 @@ int cmdFaults(const Flags& flags) {
   }
   options.retry.timeoutSeconds = flags.f64("timeout", 1e-3);
   options.retry.maxAttempts =
-      static_cast<int>(flags.i64("max-attempts", 8));
+      flags.i32("max-attempts", 8);
   options.rebalanceOnDeath = !flags.b("no-rebalance", false);
   if (!options.faults.enabled()) {
     std::cerr << "nothing to inject: pass --drop and/or --death-proc\n";
