@@ -50,10 +50,7 @@ double percentile(std::vector<double> v, double q) {
   return v[idx];
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   const int queries = std::max(4, flags.i32("queries", 24));
   const int n = flags.i32("n", 300);
   const int runs = std::max(1, flags.i32("runs", 2));
@@ -253,3 +250,7 @@ int main(int argc, char** argv) {
                    : "\nRESULT: atlas serving targets missed.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -63,10 +63,7 @@ void tuneMachine(Machine& machine, const Ratio& ratio, int n,
                                machine.baseFlopSeconds / ratio.total() / 1.3;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 90);
   const double commFraction = flags.f64("comm-fraction", 0.3);
   const int pmax = flags.i32("pmax", 20);
@@ -287,3 +284,7 @@ int main(int argc, char** argv) {
                    : "RESULT: pattern differs — inspect table.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -126,10 +126,7 @@ bool eventLogged(const std::vector<ClusterEvent>& events,
   return false;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   const int nodes = std::max(2, flags.i32("nodes", 3));
   const int replication =
       std::max(2, flags.i32("replication", 2));
@@ -318,3 +315,7 @@ int main(int argc, char** argv) {
     std::printf("  recovery markers missing from the event log\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -90,10 +90,7 @@ std::string statsJson(const AdaptiveStats& s) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   const std::string jsonPath = flags.str("json", "BENCH_drift.json");
 
   const DriftScenarioOptions scenario = scenarioFromFlags(flags);
@@ -218,3 +215,7 @@ int main(int argc, char** argv) {
                    : "\nRESULT: drift-adaptation targets missed.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

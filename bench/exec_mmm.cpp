@@ -32,8 +32,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 192);
 
   std::vector<Ratio> ratios;
@@ -91,3 +92,7 @@ int main(int argc, char** argv) {
                     : "RESULT: expected SC comm win not observed.\n");
   return (allVerified && scWinsCommAtHighHet) ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

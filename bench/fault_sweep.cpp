@@ -27,8 +27,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 96);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "5:2:1"));
   const CandidateShape shape =
@@ -140,3 +141,7 @@ int main(int argc, char** argv) {
                    : "\nRESULT: some runs failed to complete or recover.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

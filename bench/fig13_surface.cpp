@@ -28,8 +28,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 200);
   const int pmax = flags.i32("pmax", 20);
   const int rmax = flags.i32("rmax", 10);
@@ -146,3 +147,7 @@ int main(int argc, char** argv) {
                    : "RESULT: MISMATCH with expected Fig. 13 shape.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -25,8 +25,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 5000);          // closed form
   const int gridN = flags.i32("grid-n", 500);  // grid + sim
   const double tsend = 8.0 / (flags.f64("bandwidth-mbs", 1000.0) * 1e6);
@@ -94,3 +95,7 @@ int main(int argc, char** argv) {
                    : "RESULT: MISMATCH with expected Fig. 14 shape.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -32,10 +32,7 @@ std::vector<Ratio> parseRatios(const std::string& text) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   BatchOptions options;
   options.n = flags.i32("n", 48);
   options.runs = flags.i32("runs", 40);
@@ -93,3 +90,7 @@ int main(int argc, char** argv) {
                       "candidates, inspect!\n");
   return totalUnknown == 0 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

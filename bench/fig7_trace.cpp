@@ -19,8 +19,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 100);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "2:1:1"));
   const auto snapshots = flags.i64("snapshots", 5);
@@ -68,3 +69,7 @@ int main(int argc, char** argv) {
                     : "RESULT: unknown shape — investigate.\n");
   return info.archetype != Archetype::Unknown ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -24,8 +24,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 128);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "5:2:1"));
   const CandidateShape shape =
@@ -91,3 +92,7 @@ int main(int argc, char** argv) {
                     : "\nRESULT: unexpected latency response.\n");
   return (monotone && coarsens) ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

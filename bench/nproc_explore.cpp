@@ -25,8 +25,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 48);
   const int runs = flags.i32("runs", 30);
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed", 9));
@@ -151,3 +152,7 @@ int main(int argc, char** argv) {
                      "engine.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -36,6 +36,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,10 +103,7 @@ std::string jsonHistogram(const LatencyHistogram::Snapshot& h) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   const double deadlineSeconds = flags.f64("deadline-ms", 50.0) / 1e3;
   const int maxConcurrency =
       std::max(1, flags.i32("max-concurrency", 2));
@@ -229,7 +227,8 @@ int main(int argc, char** argv) {
   const std::size_t saved = warmOracle.saveSnapshot(snapshotPath);
 
   Oracle restored(OracleOptions{});
-  const SnapshotLoadReport report = restored.loadSnapshot(snapshotPath);
+  const SnapshotLoadReport report = restored.tryLoadSnapshot(snapshotPath);
+  if (!report.ok()) throw std::runtime_error(report.error);
   replay(restored, warmRequests);
   const double warmHitRate = hitRateOver(restored, 0, warmRequests);
   const double warmRatio =
@@ -321,3 +320,7 @@ int main(int argc, char** argv) {
     std::printf("  warm-restart bar failed: ratio %.3g < 0.9\n", warmRatio);
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -87,10 +87,7 @@ std::string jsonHistogram(const LatencyHistogram::Snapshot& h) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   const int threads =
       std::max(1, flags.i32("threads", 8));
   const std::int64_t requests = flags.i64("requests", 12000);
@@ -244,3 +241,7 @@ int main(int argc, char** argv) {
                    : "\nRESULT: serving targets missed.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -21,8 +21,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 120);
   Machine machine;
   machine.sendElementSeconds = 8.0 / (flags.f64("bandwidth-mbs", 1000.0) * 1e6);
@@ -83,3 +84,7 @@ int main(int argc, char** argv) {
                    : "\nRESULT: unexpected topology behaviour.\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

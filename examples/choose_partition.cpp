@@ -29,10 +29,7 @@ Algo parseAlgo(const std::string& name) {
                               "' (expected SCB, PCB, SCO, PCO or PIO)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 120);
   const Algo algo = parseAlgo(flags.str("algo", "SCB"));
   const std::string topoStr = flags.str("topology", "full");
@@ -72,3 +69,7 @@ int main(int argc, char** argv) {
                "P_r > 2*sqrt(R_r*S_r).)\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

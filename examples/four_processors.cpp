@@ -36,10 +36,7 @@ void render(const NPartition& q, int maxCells) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 40);
   const auto speeds = NSpeeds::parse(flags.str("speeds", "8:4:2:1"));
   Rng rng(static_cast<std::uint64_t>(flags.i64("seed", 11)));
@@ -68,3 +65,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(result.vocStart)));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

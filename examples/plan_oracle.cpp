@@ -26,10 +26,7 @@ void show(const char* label, const PlanResponse& r) {
               r.latencySeconds * 1e6);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int mainBody(const Flags& flags) {
 
   PlanRequest req;
   req.n = flags.i32("n", 120);
@@ -67,3 +64,7 @@ int main(int argc, char** argv) {
   // The whole point of the serving layer: one solve answered three requests.
   return stats.cache.misses == 1 && stats.cache.hits == 2 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

@@ -20,8 +20,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 30);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "3:1:1"));
   Rng rng(static_cast<std::uint64_t>(flags.i64("seed", 7)));
@@ -70,3 +71,7 @@ int main(int argc, char** argv) {
             << " — candidates communicate no more than condensed shapes.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

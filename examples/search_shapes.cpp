@@ -18,8 +18,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   BatchOptions options;
   options.n = flags.i32("n", 60);
   options.ratio = Ratio::parse(flags.str("ratio", "2:1:1"));
@@ -75,3 +76,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

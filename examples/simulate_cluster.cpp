@@ -19,8 +19,9 @@
 
 using namespace pushpart;
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+namespace {
+
+int mainBody(const Flags& flags) {
   const int n = flags.i32("n", 96);
   const Ratio ratio = Ratio::parse(flags.str("ratio", "5:2:1"));
   const CandidateShape shape =
@@ -73,3 +74,7 @@ int main(int argc, char** argv) {
               run.maxAbsError < 1e-9 ? "VERIFIED" : "MISMATCH");
   return run.maxAbsError < 1e-9 ? 0 : 2;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, mainBody); }

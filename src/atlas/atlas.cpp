@@ -33,10 +33,13 @@ void AtlasGridSpec::validate() const {
 }
 
 PlanAtlas::PlanAtlas(AtlasGridSpec spec, AtlasBuildInfo info)
-    : spec_(spec), info_(info), cells_(spec.points()) {
+    : spec_(spec), info_(info) {
+  // Validate before allocating: a negative step count would otherwise ask
+  // for an impossible vector instead of naming the bad header field.
   spec_.validate();
   if (info_.n < 4)
     throw std::invalid_argument("PlanAtlas: build granularity n too small");
+  cells_.resize(spec_.points());
 }
 
 bool PlanAtlas::assign(const Ratio& ratio, int& i, int& j) const {

@@ -1,13 +1,10 @@
 #include "atlas/io.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
-
-#include "support/fnv1a.hpp"
+#include <utility>
+#include <vector>
 
 namespace pushpart {
 
@@ -15,34 +12,19 @@ namespace {
 
 // v2 added the per-cell communication lower-bound gap (lowerBoundGapPct);
 // v1 files are refused rather than silently defaulting the gap to zero.
-constexpr const char* kMagic = "pushpart-atlas v2";
-
-// Line checksums are FNV-1a from this basis, which is the standard offset
-// basis with its last decimal digit missing (14695981039346656037). It is
-// part of the v2 file format: changing it would reject every saved atlas.
-constexpr std::uint64_t kChecksumBasis = 1469598103934665603ull;
-
-std::string formatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string checksumHex(const std::string& payload) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a(payload, kChecksumBasis)));
-  return buf;
-}
+// Line checksums are FNV-1a from a basis that is the standard offset basis
+// with its last decimal digit missing (14695981039346656037). It is part of
+// the v2 file format: changing it would reject every saved atlas.
+constexpr RecordFormat kFormat{"pushpart-atlas v2", "atlas", "cells", "c",
+                               1469598103934665603ull};
 
 std::string cellPayload(int i, int j, const AtlasCell& cell) {
   std::ostringstream os;
   os << i << ' ' << j << ' ' << (cell.boundary ? 1 : 0) << ' '
-     << static_cast<int>(cell.shape) << ' ' << formatDouble(cell.normVoc)
-     << ' ' << formatDouble(cell.execSeconds) << ' '
-     << formatDouble(cell.runnerUpGapPct) << ' '
-     << formatDouble(cell.lowerBoundGapPct) << ' '
+     << static_cast<int>(cell.shape) << ' ' << formatRecordDouble(cell.normVoc)
+     << ' ' << formatRecordDouble(cell.execSeconds) << ' '
+     << formatRecordDouble(cell.runnerUpGapPct) << ' '
+     << formatRecordDouble(cell.lowerBoundGapPct) << ' '
      << (cell.searchConfirmed ? 1 : 0) << ' '
      << static_cast<int>(cell.origin);
   return os.str();
@@ -63,12 +45,9 @@ bool parseCellPayload(const std::string& payload, const AtlasGridSpec& spec,
   if (shape < 0 || shape >= kNumCandidates) return false;
   if (confirmed < 0 || confirmed > 1) return false;
   if (origin < 0 || origin > 1) return false;
-  if (!std::isfinite(cell.normVoc) || cell.normVoc < 0.0) return false;
-  if (!std::isfinite(cell.execSeconds) || cell.execSeconds < 0.0) return false;
-  if (!std::isfinite(cell.runnerUpGapPct) || cell.runnerUpGapPct < 0.0)
-    return false;
-  if (!std::isfinite(cell.lowerBoundGapPct) || cell.lowerBoundGapPct < 0.0)
-    return false;
+  for (const double v : {cell.normVoc, cell.execSeconds, cell.runnerUpGapPct,
+                         cell.lowerBoundGapPct})
+    if (!std::isfinite(v) || v < 0.0) return false;
   cell.solved = true;
   cell.boundary = boundary == 1;
   cell.shape = static_cast<CandidateShape>(shape);
@@ -82,149 +61,86 @@ bool parseCellPayload(const std::string& payload, const AtlasGridSpec& spec,
 std::size_t saveAtlas(const PlanAtlas& atlas, std::ostream& os) {
   const AtlasGridSpec& spec = atlas.spec();
   const AtlasBuildInfo& info = atlas.info();
-  os << kMagic << '\n';
-  os << "grid " << formatDouble(spec.prMin) << ' ' << formatDouble(spec.prMax)
-     << ' ' << spec.prSteps << ' ' << formatDouble(spec.rrMin) << ' '
-     << formatDouble(spec.rrMax) << ' ' << spec.rrSteps << '\n';
-  os << "info " << info.n << ' ' << static_cast<int>(info.algo) << ' '
-     << static_cast<int>(info.topology) << ' ' << (info.searchBacked ? 1 : 0)
-     << ' ' << info.searchRuns << ' ' << info.seed << ' '
-     << formatDouble(info.tieSnapPct) << ' '
-     << formatDouble(info.machine.alphaSeconds) << ' '
-     << formatDouble(info.machine.sendElementSeconds) << ' '
-     << formatDouble(info.machine.baseFlopSeconds) << '\n';
+  std::ostringstream header;
+  header << "grid " << formatRecordDouble(spec.prMin) << ' '
+         << formatRecordDouble(spec.prMax) << ' ' << spec.prSteps << ' '
+         << formatRecordDouble(spec.rrMin) << ' '
+         << formatRecordDouble(spec.rrMax) << ' ' << spec.rrSteps << '\n';
+  header << "info " << info.n << ' ' << static_cast<int>(info.algo) << ' '
+         << static_cast<int>(info.topology) << ' '
+         << (info.searchBacked ? 1 : 0) << ' ' << info.searchRuns << ' '
+         << info.seed << ' ' << formatRecordDouble(info.tieSnapPct) << ' '
+         << formatRecordDouble(info.machine.alphaSeconds) << ' '
+         << formatRecordDouble(info.machine.sendElementSeconds) << ' '
+         << formatRecordDouble(info.machine.baseFlopSeconds) << '\n';
 
-  std::size_t written = 0;
-  std::ostringstream body;
+  std::vector<std::string> payloads;
   for (int i = 0; i < spec.prSteps; ++i) {
     for (int j = 0; j < spec.rrSteps; ++j) {
       const std::optional<AtlasCell> cell = atlas.cell(i, j);
-      if (!cell || !cell->solved) continue;
-      const std::string payload = cellPayload(i, j, *cell);
-      body << "c " << checksumHex(payload) << ' ' << payload << '\n';
-      ++written;
+      if (cell && cell->solved) payloads.push_back(cellPayload(i, j, *cell));
     }
   }
-  os << "cells " << written << '\n' << body.str();
-  if (!os) throw std::runtime_error("saveAtlas: stream write failed");
-  return written;
+  writeRecordFile(os, kFormat, header.str(), payloads);
+  return payloads.size();
 }
 
 std::size_t saveAtlas(const PlanAtlas& atlas, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::size_t written = 0;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("saveAtlas: cannot open " + tmp);
-    written = saveAtlas(atlas, out);
-    out.flush();
-    if (!out)
-      throw std::runtime_error("saveAtlas: write to " + tmp + " failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("saveAtlas: cannot rename " + tmp + " to " +
-                             path);
-  }
-  return written;
+  return publishRecordFile(
+      path, kFormat, [&](std::ostream& os) { return saveAtlas(atlas, os); });
 }
 
 AtlasLoadReport tryLoadAtlas(std::istream& is) {
   AtlasLoadReport report;
-  std::string magic;
-  std::getline(is, magic);
-  if (!magic.empty() && magic.back() == '\r') magic.pop_back();
-  if (magic != kMagic) {
-    report.versionRefused = true;
-    report.error = "loadAtlas: unsupported atlas version '" + magic +
-                   "' (expected '" + std::string(kMagic) + "')";
-    return report;
-  }
-
-  AtlasGridSpec spec;
-  AtlasBuildInfo info;
-  {
-    std::string line, tag;
-    if (!std::getline(is, line)) {
-      report.error = "loadAtlas: missing grid line";
-      return report;
-    }
-    std::istringstream ls(line);
-    if (!(ls >> tag >> spec.prMin >> spec.prMax >> spec.prSteps >>
-          spec.rrMin >> spec.rrMax >> spec.rrSteps) ||
-        tag != "grid") {
-      report.error = "loadAtlas: malformed grid line";
-      return report;
-    }
-  }
-  {
-    std::string line, tag;
+  std::shared_ptr<PlanAtlas> atlas;
+  const auto header = [&](std::istream& in) {
+    AtlasGridSpec spec;
+    AtlasBuildInfo info;
+    std::string grid, infoLine, gridTag, infoTag;
+    std::getline(in, grid);
+    std::getline(in, infoLine);
+    std::istringstream ls(grid + '\n' + infoLine);
     int algo = -1, topology = -1, searchBacked = -1;
-    if (!std::getline(is, line)) {
-      report.error = "loadAtlas: missing info line";
-      return report;
-    }
-    std::istringstream ls(line);
-    if (!(ls >> tag >> info.n >> algo >> topology >> searchBacked >>
-          info.searchRuns >> info.seed >> info.tieSnapPct >>
-          info.machine.alphaSeconds >> info.machine.sendElementSeconds >>
-          info.machine.baseFlopSeconds) ||
-        tag != "info" || algo < 0 || algo > 4 || topology < 0 ||
-        topology > 1 || searchBacked < 0 || searchBacked > 1) {
-      report.error = "loadAtlas: malformed info line";
-      return report;
+    if (!(ls >> gridTag >> spec.prMin >> spec.prMax >> spec.prSteps >>
+          spec.rrMin >> spec.rrMax >> spec.rrSteps >> infoTag >> info.n >>
+          algo >> topology >> searchBacked >> info.searchRuns >> info.seed >>
+          info.tieSnapPct >> info.machine.alphaSeconds >>
+          info.machine.sendElementSeconds >> info.machine.baseFlopSeconds) ||
+        gridTag != "grid" || infoTag != "info" || algo < 0 || algo > 4 ||
+        topology < 0 || topology > 1 || searchBacked < 0 || searchBacked > 1) {
+      report.error = "load atlas: missing or malformed grid/info header";
+      return false;
     }
     info.algo = static_cast<Algo>(algo);
     info.topology = static_cast<Topology>(topology);
     info.searchBacked = searchBacked == 1;
-  }
-
-  try {
-    report.atlas = std::make_shared<PlanAtlas>(spec, info);
-  } catch (const std::exception& e) {
-    report.error = std::string("loadAtlas: invalid header: ") + e.what();
-    return report;
-  }
-
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line.rfind("cells ", 0) == 0) continue;
-    if (line.rfind("c ", 0) != 0 || line.size() < 2 + 16 + 2 ||
-        line[18] != ' ') {
-      ++report.skipped;
-      continue;
+    try {
+      atlas = std::make_shared<PlanAtlas>(spec, info);
+    } catch (const std::exception& e) {
+      report.error = std::string("load atlas: invalid header: ") + e.what();
+      return false;
     }
-    const std::string checksum = line.substr(2, 16);
-    const std::string payload = line.substr(19);
-    if (checksum != checksumHex(payload)) {
-      ++report.skipped;
-      continue;
-    }
+    return true;
+  };
+  readRecordFile(is, kFormat, report, header, [&](const std::string& payload) {
     int i = -1, j = -1;
     AtlasCell cell;
-    if (!parseCellPayload(payload, spec, i, j, cell)) {
-      ++report.skipped;
-      continue;
-    }
-    report.atlas->insert(i, j, cell);
-    ++report.loaded;
-  }
+    if (!parseCellPayload(payload, atlas->spec(), i, j, cell)) return false;
+    atlas->insert(i, j, cell);
+    return true;
+  });
+  if (!report.ok()) return report;
   // Flags are re-derived from the winners that actually loaded: a skipped
   // cell must not leave its neighbors claiming a boundary (or its absence)
   // that the surviving data cannot support.
-  report.atlas->markBoundaries();
+  atlas->markBoundaries();
+  report.atlas = std::move(atlas);
   return report;
 }
 
 AtlasLoadReport tryLoadAtlas(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    AtlasLoadReport report;
-    report.error = "loadAtlas: cannot open " + path;
-    return report;
-  }
-  return tryLoadAtlas(in);
+  return loadRecordPath<AtlasLoadReport>(
+      path, kFormat, [](std::istream& is) { return tryLoadAtlas(is); });
 }
 
 }  // namespace pushpart

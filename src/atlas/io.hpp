@@ -1,5 +1,4 @@
-// Versioned, checksummed atlas persistence (the snapshot discipline of
-// serve/snapshot.hpp applied to the plan surface).
+// Versioned, checksummed atlas persistence.
 //
 //   pushpart-atlas v2
 //   grid <prMin> <prMax> <prSteps> <rrMin> <rrMax> <rrSteps>
@@ -7,16 +6,14 @@
 //        <tieSnapPct> <alphaSeconds> <sendElementSeconds> <baseFlopSeconds>
 //   cells <count>
 //   c <fnv1a-16-hex> <i> <j> <boundary> <shape> <normVoc> <execSeconds>
-//        <runnerUpGapPct> <searchConfirmed> <origin>
+//        <runnerUpGapPct> <lowerBoundGapPct> <searchConfirmed> <origin>
 //
-// Doubles travel as %.17g, so build -> save -> load -> save is
-// byte-identical and a loaded cell certifies exactly like the freshly built
-// one. Writing is crash-safe (tmp + atomic rename). A wrong magic/version or
-// a malformed grid/info header refuses the whole file — guessing at a future
-// format would serve wrong plans silently. Per-cell corruption is tolerated:
-// a cell whose checksum or field ranges don't verify is skipped and counted,
-// and boundary flags are re-derived from the cells that did load, so the
-// atlas never claims knowledge a flipped byte destroyed.
+// A support/recordfile document: byte-identical round trips (a loaded cell
+// certifies exactly like the built one) and crash-safe writes. A wrong
+// version or a malformed grid/info header refuses the whole file, since
+// guessing would serve wrong plans silently. A damaged or missing cell is
+// counted as skipped, and boundary flags are re-derived from the cells that
+// loaded, so the atlas never claims knowledge a flipped byte destroyed.
 #pragma once
 
 #include <cstddef>
@@ -25,24 +22,18 @@
 #include <string>
 
 #include "atlas/atlas.hpp"
+#include "support/recordfile.hpp"
 
 namespace pushpart {
 
-struct AtlasLoadReport {
-  std::shared_ptr<PlanAtlas> atlas;  ///< Null when the file was refused.
-  std::size_t loaded = 0;            ///< Cells restored.
-  std::size_t skipped = 0;           ///< Corrupt cells left behind.
-  bool versionRefused = false;
-  std::string error;  ///< Non-empty on refusal/unreadable file.
-
-  bool ok() const { return atlas != nullptr && error.empty(); }
-  /// Accepted and every cell verified.
-  bool clean() const { return ok() && skipped == 0; }
+/// loaded/skipped count cells; `atlas` is set exactly when ok().
+struct AtlasLoadReport : RecordLoadReport {
+  std::shared_ptr<PlanAtlas> atlas;
 };
 
-/// Serializes the atlas (solved cells only). The path variant writes
-/// <path>.tmp then renames atomically; both return cells written and throw
-/// std::runtime_error on I/O failure.
+/// Serializes the atlas (solved cells only). The path variant publishes
+/// atomically; both return cells written and throw std::runtime_error on
+/// I/O failure.
 std::size_t saveAtlas(const PlanAtlas& atlas, std::ostream& os);
 std::size_t saveAtlas(const PlanAtlas& atlas, const std::string& path);
 

@@ -364,10 +364,6 @@ std::size_t Oracle::saveSnapshot(const std::string& path) const {
   return savePlanCacheSnapshot(cache_, path);
 }
 
-SnapshotLoadReport Oracle::loadSnapshot(const std::string& path) {
-  return loadPlanCacheSnapshot(cache_, path);
-}
-
 SnapshotLoadReport Oracle::tryLoadSnapshot(const std::string& path) {
   return tryLoadPlanCacheSnapshot(cache_, path);
 }

@@ -216,13 +216,10 @@ class Oracle {
   /// serve/snapshot.hpp). Returns entries written.
   std::size_t saveSnapshot(const std::string& path) const;
 
-  /// Warms the answer cache from `path`. Corrupt entries are skipped;
-  /// a version mismatch throws and loads nothing.
-  SnapshotLoadReport loadSnapshot(const std::string& path);
-
-  /// Non-throwing loadSnapshot: version refusal and unreadable files come
-  /// back in the report (versionRefused/error) instead of an exception, so
-  /// a serving path can start cold and say exactly why.
+  /// Warms the answer cache from `path`, never throwing. Corrupt entries
+  /// are skipped and counted; version refusal and unreadable files come
+  /// back in the report (versionRefused/error) with nothing loaded, so a
+  /// serving path can start cold and say exactly why.
   SnapshotLoadReport tryLoadSnapshot(const std::string& path);
 
   /// Loads one snapshot-format document (e.g. a rebalance segment streamed

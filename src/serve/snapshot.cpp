@@ -1,10 +1,6 @@
 #include "serve/snapshot.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "shapes/candidates.hpp"
 
@@ -17,13 +13,8 @@ namespace {
 // familyCandidate, optimalityGapPct). Older files are refused — a silently
 // restored answer missing its provenance would misreport the sources
 // breakdown (or claim a zero gap it never computed) forever.
-constexpr const char* kMagic = "pushpart-plancache v3";
-
-std::string formatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+constexpr RecordFormat kFormat{"pushpart-plancache v3", "snapshot", "entries",
+                               "e"};
 
 /// The answer's 23 fields, space-separated, in a fixed order the loader
 /// mirrors. Booleans and enums travel as integers; the familyCandidate
@@ -32,29 +23,22 @@ std::string payloadFor(const PlanCache::SnapshotEntry& entry) {
   const PlanAnswer& a = entry.answer;
   std::ostringstream os;
   os << entry.key << ' ' << static_cast<int>(a.shape) << ' '
-     << formatDouble(a.model.commSeconds) << ' '
-     << formatDouble(a.model.overlapSeconds) << ' '
-     << formatDouble(a.model.compSeconds) << ' '
-     << formatDouble(a.model.execSeconds) << ' ' << a.voc << ' '
+     << formatRecordDouble(a.model.commSeconds) << ' '
+     << formatRecordDouble(a.model.overlapSeconds) << ' '
+     << formatRecordDouble(a.model.compSeconds) << ' '
+     << formatRecordDouble(a.model.execSeconds) << ' ' << a.voc << ' '
      << static_cast<int>(a.tier) << ' ' << static_cast<int>(a.servedTier)
      << ' ' << static_cast<int>(a.degrade) << ' ' << (a.truncated ? 1 : 0)
-     << ' ' << formatDouble(a.solveSeconds) << ' ' << a.searchRuns << ' '
+     << ' ' << formatRecordDouble(a.solveSeconds) << ' ' << a.searchRuns << ' '
      << a.searchCompleted << ' ' << a.searchBestVoc << ' '
-     << formatDouble(a.searchBestExecSeconds) << ' '
+     << formatRecordDouble(a.searchBestExecSeconds) << ' '
      << (a.searchConfirmedCandidate ? 1 : 0) << ' '
-     << (a.atlasServed ? 1 : 0) << ' ' << formatDouble(a.atlasCertGapPct)
+     << (a.atlasServed ? 1 : 0) << ' ' << formatRecordDouble(a.atlasCertGapPct)
      << ' ' << a.atlasI << ' ' << a.atlasJ << ' '
      << static_cast<int>(a.family) << ' '
      << (a.familyCandidate.empty() ? "-" : a.familyCandidate) << ' '
-     << formatDouble(a.optimalityGapPct);
+     << formatRecordDouble(a.optimalityGapPct);
   return os.str();
-}
-
-std::string checksumHex(const std::string& payload) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a(payload)));
-  return buf;
 }
 
 /// Parses one payload back into an entry. Returns false on any field-count,
@@ -105,14 +89,9 @@ bool parsePayload(const std::string& payload,
 
 std::size_t savePlanCacheSegment(
     const std::vector<PlanCache::SnapshotEntry>& entries, std::ostream& os) {
-  os << kMagic << '\n';
-  os << "entries " << entries.size() << '\n';
-  for (const auto& entry : entries) {
-    const std::string payload = payloadFor(entry);
-    os << "e " << checksumHex(payload) << ' ' << payload << '\n';
-  }
-  if (!os)
-    throw std::runtime_error("savePlanCacheSnapshot: stream write failed");
+  std::vector<std::string> payloads;
+  for (const auto& entry : entries) payloads.push_back(payloadFor(entry));
+  writeRecordFile(os, kFormat, "", payloads);
   return entries.size();
 }
 
@@ -122,94 +101,28 @@ std::size_t savePlanCacheSnapshot(const PlanCache& cache, std::ostream& os) {
 
 std::size_t savePlanCacheSnapshot(const PlanCache& cache,
                                   const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::size_t written = 0;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("savePlanCacheSnapshot: cannot open " + tmp);
-    written = savePlanCacheSnapshot(cache, out);
-    out.flush();
-    if (!out)
-      throw std::runtime_error("savePlanCacheSnapshot: write to " + tmp +
-                               " failed");
-  }
-  // Atomic publish: readers see either the old snapshot or the new one,
-  // never a half-written file.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("savePlanCacheSnapshot: cannot rename " + tmp +
-                             " to " + path);
-  }
-  return written;
+  return publishRecordFile(path, kFormat, [&](std::ostream& os) {
+    return savePlanCacheSnapshot(cache, os);
+  });
 }
 
 SnapshotLoadReport tryLoadPlanCacheSnapshot(PlanCache& cache,
                                             std::istream& is) {
   SnapshotLoadReport report;
-  std::string magic;
-  std::getline(is, magic);
-  if (!magic.empty() && magic.back() == '\r') magic.pop_back();
-  if (magic != kMagic) {
-    report.versionRefused = true;
-    report.error = "loadPlanCacheSnapshot: unsupported snapshot version '" +
-                   magic + "' (expected '" + std::string(kMagic) + "')";
-    return report;
-  }
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line.rfind("entries ", 0) == 0) continue;
-    if (line.rfind("e ", 0) != 0) {
-      ++report.skipped;
-      continue;
-    }
-    // "e <16-hex> <payload>": verify the checksum before trusting a byte of
-    // the payload, then parse strictly.
-    if (line.size() < 2 + 16 + 2 || line[18] != ' ') {
-      ++report.skipped;
-      continue;
-    }
-    const std::string checksum = line.substr(2, 16);
-    const std::string payload = line.substr(19);
-    if (checksum != checksumHex(payload)) {
-      ++report.skipped;
-      continue;
-    }
+  readRecordFile(is, kFormat, report, {}, [&](const std::string& payload) {
     PlanCache::SnapshotEntry entry;
-    if (!parsePayload(payload, entry)) {
-      ++report.skipped;
-      continue;
-    }
+    if (!parsePayload(payload, entry)) return false;
     cache.insertWarm(entry.key, entry.answer);
-    ++report.loaded;
-  }
+    return true;
+  });
   return report;
 }
 
 SnapshotLoadReport tryLoadPlanCacheSnapshot(PlanCache& cache,
                                             const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    SnapshotLoadReport report;
-    report.error = "loadPlanCacheSnapshot: cannot open " + path;
-    return report;
-  }
-  return tryLoadPlanCacheSnapshot(cache, in);
-}
-
-SnapshotLoadReport loadPlanCacheSnapshot(PlanCache& cache, std::istream& is) {
-  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(cache, is);
-  if (!report.ok()) throw std::runtime_error(report.error);
-  return report;
-}
-
-SnapshotLoadReport loadPlanCacheSnapshot(PlanCache& cache,
-                                         const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
-    throw std::runtime_error("loadPlanCacheSnapshot: cannot open " + path);
-  return loadPlanCacheSnapshot(cache, in);
+  return loadRecordPath<SnapshotLoadReport>(
+      path, kFormat,
+      [&](std::istream& is) { return tryLoadPlanCacheSnapshot(cache, is); });
 }
 
 }  // namespace pushpart

@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 #include <limits>
 #include <stdexcept>
 
@@ -103,6 +105,15 @@ std::vector<std::string> Flags::names() const {
   out.reserve(values_.size());
   for (const auto& [k, _] : values_) out.push_back(k);
   return out;
+}
+
+int runMain(int argc, const char* const* argv, int (*body)(const Flags&)) {
+  try {
+    return body(Flags(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace pushpart

@@ -44,4 +44,10 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// The whole main() of a bench or example binary: parses argv and returns
+/// body(flags). A malformed flag, or any other exception `body` lets
+/// escape, prints "error: <what>" to stderr and returns 1 instead of
+/// aborting.
+int runMain(int argc, const char* const* argv, int (*body)(const Flags&));
+
 }  // namespace pushpart

@@ -97,6 +97,45 @@ TEST(AtlasIoTest, CorruptCellIsSkippedAndBoundariesRederived) {
   EXPECT_EQ(report.atlas->boundaryCells(), derived);
 }
 
+TEST(AtlasIoTest, LineBoundaryTruncationIsNotClean) {
+  const auto atlas = builtAtlas();
+  const std::string text = savedText(*atlas);
+  ASSERT_GE(atlas->solvedCells(), 3u);
+
+  // Drop the last two cell lines whole: every surviving line verifies, so
+  // only the cells count can tell the atlas is short.
+  std::size_t cut = text.size() - 1;
+  for (int lines = 0; lines < 2; ++lines) cut = text.rfind('\n', cut - 1);
+  std::istringstream is(text.substr(0, cut + 1));
+  const AtlasLoadReport report = tryLoadAtlas(is);
+  ASSERT_TRUE(report.ok()) << report.error;
+  EXPECT_FALSE(report.clean());
+  EXPECT_EQ(report.loaded, atlas->solvedCells() - 2);
+  EXPECT_EQ(report.skipped, 2u);
+
+  // Cut before the cells line: nothing declares the cells, so the empty
+  // atlas must not read as clean either.
+  std::istringstream header(text.substr(0, text.find("cells ")));
+  const AtlasLoadReport empty = tryLoadAtlas(header);
+  ASSERT_TRUE(empty.ok()) << empty.error;
+  EXPECT_EQ(empty.loaded, 0u);
+  EXPECT_FALSE(empty.clean());
+}
+
+TEST(AtlasIoTest, InvalidGridIsRefusedByNameBeforeAllocating) {
+  std::string text = savedText(*builtAtlas());
+  const std::size_t grid = text.find("grid ");
+  text.replace(grid, text.find('\n', grid) - grid, "grid 1 20 -3 1 10 4");
+
+  std::istringstream is(text);
+  const AtlasLoadReport report = tryLoadAtlas(is);
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.atlas, nullptr);
+  EXPECT_NE(report.error.find("AtlasGridSpec: needs >= 2 steps per axis"),
+            std::string::npos)
+      << report.error;
+}
+
 TEST(AtlasIoTest, PathRoundTripsAtomically) {
   const auto atlas = builtAtlas();
   const std::string path = ::testing::TempDir() + "/pushpart_io_test.atlas";

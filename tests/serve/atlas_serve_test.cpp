@@ -156,7 +156,8 @@ TEST(AtlasServeTest, SnapshotRoundTripsAtlasProvenance) {
   // The restarted oracle has NO atlas: the provenance must come back from
   // the snapshot, not from a fresh lookup.
   Oracle restarted{OracleOptions{}};
-  const SnapshotLoadReport report = restarted.loadSnapshot(path);
+  const SnapshotLoadReport report = restarted.tryLoadSnapshot(path);
+  ASSERT_TRUE(report.ok()) << report.error;
   EXPECT_GE(report.loaded, 1u);
   const PlanResponse warm = restarted.plan(req);
   EXPECT_TRUE(warm.cacheHit);

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,7 +61,8 @@ TEST(SnapshotTest, SaveLoadSaveIsByteIdentical) {
 
   PlanCache restored(64, 4);
   std::istringstream in(first.str());
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, in);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
+  ASSERT_TRUE(report.ok()) << report.error;
   EXPECT_EQ(report.loaded, 6u);
   EXPECT_EQ(report.skipped, 0u);
   EXPECT_EQ(restored.counters().entries, 6u);
@@ -80,7 +80,7 @@ TEST(SnapshotTest, RestoredAnswersAreBitwiseEqual) {
   savePlanCacheSnapshot(cache, os);
   PlanCache restored(64, 4);
   std::istringstream in(os.str());
-  loadPlanCacheSnapshot(restored, in);
+  ASSERT_TRUE(tryLoadPlanCacheSnapshot(restored, in).ok());
   for (int i = 0; i < 4; ++i) {
     const auto hit = restored.tryGet(keyFor(20 + i));
     ASSERT_TRUE(hit.has_value()) << "entry " << i << " missing after reload";
@@ -104,7 +104,8 @@ TEST(SnapshotTest, FlippedByteSkipsThatEntryAndKeepsTheRest) {
 
   PlanCache restored(64, 4);
   std::istringstream in(text);
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, in);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
+  ASSERT_TRUE(report.ok()) << report.error;
   EXPECT_EQ(report.loaded, 4u);
   EXPECT_EQ(report.skipped, 1u);
   EXPECT_EQ(restored.counters().entries, 4u);
@@ -116,22 +117,38 @@ TEST(SnapshotTest, TruncatedFileKeepsThePrefixEntries) {
   std::ostringstream os;
   savePlanCacheSnapshot(cache, os);
   const std::string text = os.str();
+  const std::size_t lastLine = text.rfind('\n', text.size() - 2) + 1;
 
-  // Cut mid-way through the last entry line, as a crash mid-append would.
-  const std::string cut = text.substr(0, text.size() - 25);
+  // Cut mid-way through the last entry line, as a crash mid-append would,
+  // and exactly at its start, where only the count line shows the loss.
+  for (const std::size_t size : {text.size() - 25, lastLine}) {
+    PlanCache restored(64, 4);
+    std::istringstream in(text.substr(0, size));
+    const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
+    ASSERT_TRUE(report.ok()) << report.error;
+    EXPECT_EQ(report.loaded, 4u) << "cut at " << size;
+    EXPECT_EQ(report.skipped, 1u) << "cut at " << size;
+  }
+
+  // Cut before the count line: nothing declares the entries, so the empty
+  // load must not read as clean either.
   PlanCache restored(64, 4);
-  std::istringstream in(cut);
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, in);
-  EXPECT_EQ(report.loaded, 4u);
-  EXPECT_EQ(report.skipped, 1u);
+  std::istringstream in(text.substr(0, text.find('\n') + 1));
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
+  ASSERT_TRUE(report.ok()) << report.error;
+  EXPECT_EQ(report.loaded, 0u);
+  EXPECT_FALSE(report.clean());
 }
 
 TEST(SnapshotTest, VersionMismatchRefusesTheWholeFile) {
   PlanCache restored(64, 4);
-  std::istringstream future("pushpart-plancache v4\nentries 0\n");
-  EXPECT_THROW(loadPlanCacheSnapshot(restored, future), std::runtime_error);
-  std::istringstream garbage("not a snapshot at all\n");
-  EXPECT_THROW(loadPlanCacheSnapshot(restored, garbage), std::runtime_error);
+  for (const char* text : {"pushpart-plancache v4\nentries 0\n",
+                           "not a snapshot at all\n"}) {
+    std::istringstream in(text);
+    const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
+    EXPECT_FALSE(report.ok()) << text;
+    EXPECT_TRUE(report.versionRefused) << text;
+  }
   EXPECT_EQ(restored.counters().entries, 0u);
 }
 
@@ -161,7 +178,7 @@ TEST(SnapshotTest, TryLoadReportsAnUnreadablePathWithoutThrowing) {
   EXPECT_EQ(restored.counters().entries, 0u);
 }
 
-TEST(SnapshotTest, TryLoadOfAGoodSnapshotMatchesTheThrowingVariant) {
+TEST(SnapshotTest, TryLoadOfAGoodSnapshotIsClean) {
   PlanCache cache(64, 4);
   populate(cache, 3);
   std::ostringstream os;
@@ -188,7 +205,7 @@ TEST(SnapshotTest, SegmentRoundTripsAnArbitraryEntrySubset) {
   EXPECT_EQ(savePlanCacheSegment(subset, wire), 2u);
   PlanCache receiver(64, 4);
   std::istringstream in(wire.str());
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(receiver, in);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(receiver, in);
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.loaded, 2u);
   EXPECT_EQ(receiver.counters().entries, 2u);
@@ -210,11 +227,12 @@ TEST(SnapshotTest, PathRoundTripViaAtomicRename) {
   populate(cache, 3);
   EXPECT_EQ(savePlanCacheSnapshot(cache, path), 3u);
   PlanCache restored(64, 4);
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, path);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, path);
+  ASSERT_TRUE(report.ok()) << report.error;
   EXPECT_EQ(report.loaded, 3u);
   EXPECT_EQ(report.skipped, 0u);
   std::remove(path.c_str());
-  EXPECT_THROW(loadPlanCacheSnapshot(restored, path), std::runtime_error);
+  EXPECT_FALSE(tryLoadPlanCacheSnapshot(restored, path).ok());
 }
 
 // End to end through the Oracle: a snapshot-warmed oracle serves its first
@@ -233,7 +251,8 @@ TEST(SnapshotTest, WarmedOracleServesRestoredKeysAsHits) {
   ASSERT_GT(original.saveSnapshot(path), 0u);
 
   Oracle restarted(OracleOptions{});
-  const SnapshotLoadReport report = restarted.loadSnapshot(path);
+  const SnapshotLoadReport report = restarted.tryLoadSnapshot(path);
+  ASSERT_TRUE(report.ok()) << report.error;
   EXPECT_GE(report.loaded, 1u);
   const PlanResponse warm = restarted.plan(req);
   EXPECT_TRUE(warm.cacheHit);
