@@ -5,11 +5,13 @@
 // speed emulated by a duty-cycle throttle (exec/throttle.hpp), after an
 // emulated communication phase whose duration follows the partition's
 // directed pair volumes on the Hockney machine (serial or parallel schedule,
-// matching SCB/PCB). The result is verified element-exact against the serial
-// reference. This is the repo's "real execution" substrate for the Fig. 14
-// analogue (bench/exec_mmm): wall-clock times of Square-Corner vs
-// Block-Rectangle under genuine threads, real floating-point work and real
-// sleep-based heterogeneity.
+// matching SCB/PCB). Each worker runs a k-panelled, register-blocked kij
+// kernel over its owned row spans; every C element still accumulates from
+// 0.0 with k ascending, multiplySerial's order, so the result is verified
+// bit-exact against the serial reference. This is the repo's "real
+// execution" substrate for the Fig. 14 analogue (bench/exec_mmm): wall-clock
+// times of Square-Corner vs Block-Rectangle under genuine threads, real
+// floating-point work and real sleep-based heterogeneity.
 #pragma once
 
 #include <array>

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "grid/builder.hpp"
 #include "shapes/candidates.hpp"
@@ -27,9 +30,50 @@ TEST(KijExecutorTest, ResultMatchesSerialReference) {
   const auto q = randomPartition(48, ratio, rng);
   const auto result = runParallelMMM(Algo::kSCB, q, fastOptions(ratio));
   EXPECT_TRUE(result.verified);
-  // Same input, same kij dot products — exact agreement modulo FP
-  // reassociation (none here: identical accumulation order per element).
+  // The tolerance is the contract callers check against; the kernel is in
+  // fact bit-exact, which BitExactSweep below pins with == 0.0.
   EXPECT_LT(result.maxAbsError, 1e-9);
+}
+
+// Every C element accumulates a(i,k)·b(k,j) from 0.0 with k ascending, the
+// serial reference's order, so the blocked kernel must agree bit for bit.
+// Sizes below and around the micro-tile, row blocks cut by shape
+// boundaries, and scattered single-cell runs all go through the sweep.
+TEST(KijExecutorTest, BitExactSweep) {
+  Rng rng(21);
+  for (int n : {1, 2, 7, 37, 61, 129}) {
+    for (const Ratio& ratio : {Ratio{2, 1, 1}, Ratio{5, 2, 1}, Ratio{12, 1, 1}}) {
+      std::vector<std::pair<std::string, Partition>> parts;
+      for (CandidateShape shape : kAllCandidates)
+        if (candidateFeasible(shape, n, ratio))
+          parts.emplace_back(candidateName(shape), makeCandidate(shape, n, ratio));
+      parts.emplace_back("random", randomPartition(n, ratio, rng));
+      parts.emplace_back("random", randomPartition(n, ratio, rng));
+      for (const auto& [name, q] : parts)
+        for (Algo algo : {Algo::kSCB, Algo::kPCB}) {
+          const auto result = runParallelMMM(algo, q, fastOptions(ratio));
+          EXPECT_TRUE(result.verified);
+          EXPECT_EQ(result.maxAbsError, 0.0)
+              << name << " n=" << n << " ratio=" << ratio.str() << " "
+              << algoName(algo);
+        }
+    }
+  }
+}
+
+TEST(KijExecutorTest, BitExactAcrossKPanels) {
+  // Past n = 256 the k-panel is shorter than n, so tiles reload partial sums
+  // from C between panels (n = 300: one full panel and a ragged one).
+  const int n = 300;
+  const Ratio ratio{5, 2, 1};
+  Rng rng(22);
+  for (const Partition& q :
+       {makeCandidate(CandidateShape::kSquareCorner, n, ratio),
+        makeCandidate(CandidateShape::kBlockRectangle, n, ratio),
+        randomPartition(n, ratio, rng)}) {
+    const auto result = runParallelMMM(Algo::kSCB, q, fastOptions(ratio));
+    EXPECT_EQ(result.maxAbsError, 0.0);
+  }
 }
 
 TEST(KijExecutorTest, CandidateShapesComputeCorrectly) {
