@@ -7,14 +7,18 @@
 // base owner. Builders return false instead of throwing when an integer
 // allotment cannot fit — enumeration skips infeasible specs silently.
 //
-// Templates are shared between the 3-processor Partition (owners are Proc)
-// and the k-ary NPartition (owners are NProcId); both expose the same
-// n()/at()/set() surface.
+// Templates are shared between the 3-processor PartitionDescriptor (owners
+// are Proc; its carveBox overload below cuts rectangles instead of visiting
+// cells) and the k-ary NPartition (owners are NProcId, carved cell by cell
+// through the n()/at()/set() surface).
 #pragma once
 
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "grid/descriptor.hpp"
+#include "support/check.hpp"
 
 namespace pushpart::family_detail {
 
@@ -53,6 +57,17 @@ bool carveBox(Part& q, Owner base, Owner x, int r0, int r1, int c0, int c1,
         }
   }
   return remaining == 0;
+}
+
+/// carveBox on a 3-processor descriptor (base is P). Every box a builder
+/// carves is disjoint from the others, so all its cells are still P's and
+/// the carve is the box's first `count` cells in scan order: full lines plus
+/// one partial line. Returns false, changing nothing, when they do not fit.
+inline bool carveBox(PartitionDescriptor& q, Proc base, Proc x, int r0,
+                     int r1, int c0, int c1, std::int64_t count,
+                     bool colMajor = false) {
+  PUSHPART_CHECK(base == Proc::P);
+  return q.carve(x, boxOrder(Rect{r0, r1, c0, c1}, !colMajor), 0, count);
 }
 
 /// Claims `count` base-owned cells from `cells` starting at *cursor,

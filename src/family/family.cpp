@@ -74,7 +74,7 @@ class CanonicalFamily final : public CandidateFamily {
       c.family = FamilyId::kCanonical;
       c.name = candidateName(shape);
       c.shape = shape;
-      c.partition = makeCandidate(shape, n, ratio);
+      c.descriptor = candidateDescriptor(shape, n, ratio);
       emit(std::move(c));
     }
   }
@@ -144,11 +144,11 @@ const CandidateFamily* FamilyRegistry::find(FamilyId id) const {
 void FamilyRegistry::forEach(
     int n, const Ratio& ratio, FamilySet selection,
     const std::function<void(const FamilyCandidate&)>& fn) const {
-  std::unordered_set<std::uint64_t> seen;
+  std::unordered_set<std::vector<std::int32_t>, BandRunsHash> seen;
   for (const auto& f : families_) {
     if (!selection.contains(f->id())) continue;
     f->enumerate(n, ratio, [&](FamilyCandidate&& c) {
-      if (!seen.insert(c.partition.hash()).second) return;
+      if (!seen.insert(c.descriptor.bandRuns()).second) return;
       fn(c);
     });
   }

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "grid/descriptor.hpp"
 #include "grid/partition.hpp"
 #include "grid/ratio.hpp"
 #include "nproc/npartition.hpp"
@@ -77,16 +78,19 @@ struct FamilySet {
   friend bool operator==(const FamilySet&, const FamilySet&) = default;
 };
 
-/// One concrete 3-processor candidate: an exact-count partition plus the
-/// space-free token naming it ("Square-Corner", "layers:P/R-S:r", ...).
-/// Tokens contain no whitespace — they travel inside plan-cache snapshots.
+/// One concrete 3-processor candidate: an exact-count partition, as its
+/// owner-rectangle descriptor, plus the space-free token naming it
+/// ("Square-Corner", "layers:P/R-S:r", ...). Tokens contain no whitespace —
+/// they travel inside plan-cache snapshots.
 struct FamilyCandidate {
   FamilyId family = FamilyId::kCanonical;
   std::string name;
   /// Set for canonical members only: the CandidateShape this partition is
   /// the constructor output of (atlas certificates re-cost by shape).
   std::optional<CandidateShape> shape;
-  Partition partition{1, Proc::P};
+  /// Ranking reads descriptor.lineCounts(); descriptor.toPartition() builds
+  /// the grid for callers that need cells.
+  PartitionDescriptor descriptor{1};
 };
 
 /// One concrete q-processor candidate (index 0 fastest, as NPartition).
@@ -116,8 +120,10 @@ class CandidateFamily {
 
 /// Ordered collection of families. Enumeration visits families in
 /// registration order and deduplicates identical partitions across families
-/// by grid hash (first emitter wins — canonical is registered first, so a
-/// layered spec that reproduces Block-Rectangle is suppressed).
+/// (first emitter wins — canonical is registered first, so a layered spec
+/// that reproduces Block-Rectangle is suppressed). 3-processor members are
+/// compared by their descriptors' canonical band-run forms, which are equal
+/// exactly when the grids are; q-processor members by grid hash.
 class FamilyRegistry {
  public:
   void add(std::unique_ptr<CandidateFamily> family);
@@ -126,9 +132,8 @@ class FamilyRegistry {
     return families_;
   }
 
-  /// Streams each selected family's candidates through `fn` (one live
-  /// partition at a time — enumerating n=1000 members never holds the whole
-  /// field in memory). Deduplicated by partition hash.
+  /// Streams each selected family's candidates through `fn`, deduplicated;
+  /// no grid is built.
   void forEach(int n, const Ratio& ratio, FamilySet selection,
                const std::function<void(const FamilyCandidate&)>& fn) const;
   void forEachN(int n, const NSpeeds& speeds, FamilySet selection,

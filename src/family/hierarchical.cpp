@@ -11,30 +11,6 @@ namespace fd = family_detail;
 
 namespace {
 
-/// Cells of the box rows [r0, r1) x cols [c0, c1) in row- or column-major
-/// order, minus the `hole` box (pass an empty hole for none).
-std::vector<std::pair<int, int>> boxCells(int r0, int r1, int c0, int c1,
-                                          bool rowMajor, int hr0 = 0,
-                                          int hr1 = 0, int hc0 = 0,
-                                          int hc1 = 0) {
-  std::vector<std::pair<int, int>> out;
-  out.reserve(static_cast<std::size_t>(r1 - r0) *
-              static_cast<std::size_t>(c1 - c0));
-  const auto inHole = [&](int r, int c) {
-    return r >= hr0 && r < hr1 && c >= hc0 && c < hc1;
-  };
-  if (rowMajor) {
-    for (int r = r0; r < r1; ++r)
-      for (int c = c0; c < c1; ++c)
-        if (!inHole(r, c)) out.emplace_back(r, c);
-  } else {
-    for (int c = c0; c < c1; ++c)
-      for (int r = r0; r < r1; ++r)
-        if (!inHole(r, c)) out.emplace_back(r, c);
-  }
-  return out;
-}
-
 std::int64_t ceilSqrt(std::int64_t cells) {
   auto side = static_cast<std::int64_t>(
       std::ceil(std::sqrt(static_cast<double>(cells))));
@@ -58,8 +34,8 @@ std::string hierSpecName(const HierSpec& spec) {
   return out;
 }
 
-std::optional<Partition> makeHierPartition(int n, const Ratio& ratio,
-                                           const HierSpec& spec) {
+std::optional<PartitionDescriptor> hierDescriptor(int n, const Ratio& ratio,
+                                                 const HierSpec& spec) {
   if (n <= 0 || !ratio.valid()) return std::nullopt;
   if (spec.group[0] == spec.group[1]) return std::nullopt;
   const auto counts = ratio.elementCounts(n);
@@ -108,28 +84,33 @@ std::optional<Partition> makeHierPartition(int n, const Ratio& ratio,
     }
   }
 
-  Partition q(n, Proc::P);
+  PartitionDescriptor q(n);
   // Slice the region into consecutive segments of its cell order.
-  const auto region = boxCells(r0, r1, c0, c1, spec.regionRowMajor);
-  std::size_t cursor = 0;
-  for (const Proc p : regionMembers)
-    if (!fd::carveCells(q, Proc::P, p, region, cursor, countOf(p)))
-      return std::nullopt;
+  const Rect box{r0, r1, c0, c1};
+  const CellOrder region = boxOrder(box, spec.regionRowMajor);
+  std::int64_t cursor = 0;
+  for (const Proc p : regionMembers) {
+    if (!q.carve(p, region, cursor, countOf(p))) return std::nullopt;
+    cursor += countOf(p);
+  }
   // Slice the remainder (rest = everything outside the region box). A
   // member equal to P only advances the cursor — its segment stays P — so
   // the two orders of a {P, X} group place X at opposite ends of the rest.
-  const auto rest =
-      boxCells(0, n, 0, n, spec.restRowMajor, r0, r1, c0, c1);
+  const CellOrder rest = boxComplementOrder(n, box, spec.restRowMajor);
   cursor = 0;
   for (const Proc p : restMembers) {
-    if (p == Proc::P) {
-      cursor += static_cast<std::size_t>(countOf(p));
-      continue;
-    }
-    if (!fd::carveCells(q, Proc::P, p, rest, cursor, countOf(p)))
+    if (p != Proc::P && !q.carve(p, rest, cursor, countOf(p)))
       return std::nullopt;
+    cursor += countOf(p);
   }
   return q;
+}
+
+std::optional<Partition> makeHierPartition(int n, const Ratio& ratio,
+                                           const HierSpec& spec) {
+  if (std::optional<PartitionDescriptor> d = hierDescriptor(n, ratio, spec))
+    return d->toPartition();
+  return std::nullopt;
 }
 
 const std::vector<HierSpec>& allHierSpecs() {
@@ -212,12 +193,12 @@ void HierarchicalFamily::enumerate(
     int n, const Ratio& ratio,
     const std::function<void(FamilyCandidate&&)>& emit) const {
   for (const HierSpec& spec : allHierSpecs()) {
-    std::optional<Partition> q = makeHierPartition(n, ratio, spec);
+    std::optional<PartitionDescriptor> q = hierDescriptor(n, ratio, spec);
     if (!q) continue;
     FamilyCandidate c;
     c.family = FamilyId::kHierarchical;
     c.name = hierSpecName(spec);
-    c.partition = *std::move(q);
+    c.descriptor = *std::move(q);
     emit(std::move(c));
   }
 }

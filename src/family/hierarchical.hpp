@@ -58,6 +58,10 @@ std::string hierSpecName(const HierSpec& spec);
 
 /// Builds the spec with exact ratio element counts; nullopt when infeasible
 /// (region cannot fit its side at integer granularity).
+std::optional<PartitionDescriptor> hierDescriptor(int n, const Ratio& ratio,
+                                                 const HierSpec& spec);
+
+/// hierDescriptor(...)->toPartition(): the spec as an element-exact grid.
 std::optional<Partition> makeHierPartition(int n, const Ratio& ratio,
                                            const HierSpec& spec);
 

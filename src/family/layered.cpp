@@ -34,8 +34,9 @@ std::string layeredSpecName(const NLayeredSpec& spec) {
   return specToken(spec, [](NProcId p) { return std::to_string(p); });
 }
 
-std::optional<Partition> makeLayeredPartition(int n, const Ratio& ratio,
-                                              const LayeredSpec& spec) {
+std::optional<PartitionDescriptor> layeredDescriptor(int n,
+                                                    const Ratio& ratio,
+                                                    const LayeredSpec& spec) {
   if (n <= 0 || !ratio.valid()) return std::nullopt;
   const auto counts = ratio.elementCounts(n);
   std::vector<std::vector<fd::LayerMember<Proc>>> layers;
@@ -43,10 +44,17 @@ std::optional<Partition> makeLayeredPartition(int n, const Ratio& ratio,
     auto& out = layers.emplace_back();
     for (const Proc p : band) out.push_back({p, counts[procSlot(p)]});
   }
-  Partition q(n, Proc::P);
+  PartitionDescriptor q(n);
   if (!fd::buildLayeredOnto(q, Proc::P, layers, spec.rowBands))
     return std::nullopt;
   return q;
+}
+
+std::optional<Partition> makeLayeredPartition(int n, const Ratio& ratio,
+                                              const LayeredSpec& spec) {
+  if (std::optional<PartitionDescriptor> d = layeredDescriptor(n, ratio, spec))
+    return d->toPartition();
+  return std::nullopt;
 }
 
 std::optional<NPartition> makeLayeredNPartition(int n, const NSpeeds& speeds,
@@ -117,12 +125,12 @@ void LayeredFamily::enumerate(
     int n, const Ratio& ratio,
     const std::function<void(FamilyCandidate&&)>& emit) const {
   for (const LayeredSpec& spec : allLayeredSpecs()) {
-    std::optional<Partition> q = makeLayeredPartition(n, ratio, spec);
+    std::optional<PartitionDescriptor> q = layeredDescriptor(n, ratio, spec);
     if (!q) continue;
     FamilyCandidate c;
     c.family = FamilyId::kLayered;
     c.name = layeredSpecName(spec);
-    c.partition = *std::move(q);
+    c.descriptor = *std::move(q);
     emit(std::move(c));
   }
 }

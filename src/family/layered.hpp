@@ -33,6 +33,10 @@ std::string layeredSpecName(const LayeredSpec& spec);
 
 /// Builds the spec at integer granularity with exact ratio element counts;
 /// nullopt when the integer allotment cannot fit.
+std::optional<PartitionDescriptor> layeredDescriptor(int n, const Ratio& ratio,
+                                                    const LayeredSpec& spec);
+
+/// layeredDescriptor(...)->toPartition(): the spec as an element-exact grid.
 std::optional<Partition> makeLayeredPartition(int n, const Ratio& ratio,
                                               const LayeredSpec& spec);
 

@@ -39,9 +39,26 @@ std::int64_t volumeOfCommunication(const Partition& q);
 /// need it as the A(i,k)-pivot) or, separately, in column j (as the
 /// B(k,j)-pivot) — both uses counted, matching Eq. 1:
 ///   Σ_{s≠r} pairVolumes[s][r] == volumeOfCommunication(q).
-/// Diagonal entries are zero. Indexed by procIndex().
+/// Diagonal entries are zero. Indexed by procIndex(). Templated over the
+/// counter API (Partition or LineCounts), so grid and descriptor volumes come
+/// out of this one body.
+template <typename Q>
 std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> pairVolumes(
-    const Partition& q);
+    const Q& q) {
+  std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> v{};
+  const int n = q.n();
+  for (int i = 0; i < n; ++i)
+    for (Proc s : kAllProcs)
+      for (Proc r : kAllProcs)
+        if (s != r && q.rowHas(r, i))
+          v[procSlot(s)][procSlot(r)] += q.rowCount(s, i);
+  for (int j = 0; j < n; ++j)
+    for (Proc s : kAllProcs)
+      for (Proc r : kAllProcs)
+        if (s != r && q.colHas(r, j))
+          v[procSlot(s)][procSlot(r)] += q.colCount(s, j);
+  return v;
+}
 
 /// True when x's cells exactly fill its enclosing rectangle (and x owns at
 /// least one cell). Templated over the engine state (Partition,
@@ -94,8 +111,19 @@ bool isAsymptoticallyRectangular(const Q& q, Owner x) {
 /// Number of elements processor X can compute with zero communication under
 /// bulk overlap (SCO/PCO): C(i,j) owned by X such that X owns *every* element
 /// of pivot row i and pivot column j it needs — i.e. rows i and columns j
-/// fully owned by X. Counted as fully-computable C elements.
-std::int64_t overlapElements(const Partition& q, Proc x);
+/// fully owned by X. Counted as fully-computable C elements: (rows X fills)
+/// × (columns X fills), O(N). Templated like pairVolumes.
+template <typename Q>
+std::int64_t overlapElements(const Q& q, Proc x) {
+  const int n = q.n();
+  std::int64_t fullRows = 0;
+  std::int64_t fullCols = 0;
+  for (int i = 0; i < n; ++i) {
+    if (q.rowCount(x, i) == n) ++fullRows;
+    if (q.colCount(x, i) == n) ++fullCols;
+  }
+  return fullRows * fullCols;
+}
 
 /// Total kij flop-steps processor X can run during bulk overlap: for each
 /// C(i,j) owned by X, the number of pivots k with both A(i,k) and B(k,j)

@@ -94,6 +94,11 @@ class Partition : public ProcOwners {
   void validateCounters() const;
 
  private:
+  // PartitionDescriptor::toPartition() writes cells and counters in bulk
+  // from the descriptor's rectangles and line counts instead of recounting
+  // them cell by cell through set().
+  friend class PartitionDescriptor;
+
   std::size_t index(int i, int j) const {
     return static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
            static_cast<std::size_t>(j);

@@ -16,8 +16,8 @@ struct CommVolumes {
   std::array<std::int64_t, kNumProcs> perProc{};   ///< Outbound per processor.
 };
 
-CommVolumes routedVolumes(const Partition& q, Topology topology,
-                          StarConfig star) {
+template <typename Q>
+CommVolumes routedVolumes(const Q& q, Topology topology, StarConfig star) {
   const auto v = pairVolumes(q);
   CommVolumes out;
   for (int s = 0; s < kNumProcs; ++s)
@@ -54,7 +54,8 @@ CommVolumes routedVolumes(const Partition& q, Topology topology,
 
 }  // namespace
 
-ModelResult evalModel(Algo algo, const Partition& q, const Machine& machine,
+template <typename Q>
+ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
                       Topology topology, StarConfig star) {
   PUSHPART_CHECK_MSG(machine.ratio.valid(),
                      "invalid machine ratio " << machine.ratio.str());
@@ -146,6 +147,11 @@ ModelResult evalModel(Algo algo, const Partition& q, const Machine& machine,
   }
   return result;
 }
+
+template ModelResult evalModel(Algo, const Partition&, const Machine&,
+                               Topology, StarConfig);
+template ModelResult evalModel(Algo, const LineCounts&, const Machine&,
+                               Topology, StarConfig);
 
 double commSeconds(Algo algo, const Partition& q, const Machine& machine,
                    Topology topology, StarConfig star) {

@@ -23,6 +23,7 @@
 // hub with the forwarded traffic.
 #pragma once
 
+#include "grid/descriptor.hpp"
 #include "grid/partition.hpp"
 #include "model/algo.hpp"
 #include "model/machine.hpp"
@@ -44,10 +45,18 @@ struct ModelResult {
 
 /// Evaluates the Eq. 2–9 model for `algo` on `q`. The partition's element
 /// counts drive computation time; its row/column occupancy drives
-/// communication. `machine.ratio` supplies processor speeds.
-ModelResult evalModel(Algo algo, const Partition& q, const Machine& machine,
+/// communication. `machine.ratio` supplies processor speeds. One body serves
+/// the grid (Partition) and a descriptor's LineCounts — both expose the same
+/// O(1) counters — so their results are bit-identical by construction.
+template <typename Q>
+ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
                       Topology topology = Topology::kFullyConnected,
                       StarConfig star = {});
+
+extern template ModelResult evalModel(Algo, const Partition&, const Machine&,
+                                      Topology, StarConfig);
+extern template ModelResult evalModel(Algo, const LineCounts&, const Machine&,
+                                      Topology, StarConfig);
 
 /// Communication seconds only (the Fig. 14 quantity) — the comm term of the
 /// chosen algorithm's model.

@@ -11,11 +11,9 @@ std::vector<RankedCandidate> rankCandidates(Algo algo, int n,
                                             StarConfig star) {
   std::vector<RankedCandidate> out;
   for (CandidateShape shape : kAllCandidates) {
-    if (!candidateFeasible(shape, n, machine.ratio)) continue;
-    const Partition q = makeCandidate(shape, n, machine.ratio);
-    RankedCandidate ranked{shape, evalModel(algo, q, machine, topology, star),
-                           q.volumeOfCommunication()};
-    out.push_back(ranked);
+    if (std::optional<RankedCandidate> ranked =
+            rankOne(shape, algo, n, machine, topology, star))
+      out.push_back(*ranked);
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const RankedCandidate& a, const RankedCandidate& b) {
@@ -37,7 +35,7 @@ std::optional<RankedCandidate> rankOne(CandidateShape shape, Algo algo, int n,
                                        const Machine& machine,
                                        Topology topology, StarConfig star) {
   if (!candidateFeasible(shape, n, machine.ratio)) return std::nullopt;
-  const Partition q = makeCandidate(shape, n, machine.ratio);
+  const LineCounts q = candidateDescriptor(shape, n, machine.ratio).lineCounts();
   return RankedCandidate{shape, evalModel(algo, q, machine, topology, star),
                          q.volumeOfCommunication()};
 }

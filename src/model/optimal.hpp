@@ -17,11 +17,12 @@ namespace pushpart {
 struct RankedCandidate {
   CandidateShape shape;
   ModelResult model;
-  std::int64_t voc = 0;  ///< Grid-measured Volume of Communication.
+  std::int64_t voc = 0;  ///< Exact Volume of Communication (Eq. 1).
 };
 
 /// All feasible candidates at integer granularity n, ranked by modeled
-/// execution time (ascending — best first). machine.ratio supplies the
+/// execution time (ascending — best first). Each shape is costed from its
+/// descriptor's line counts; no grid is built. machine.ratio supplies the
 /// processor speeds and must match the shapes being compared.
 std::vector<RankedCandidate> rankCandidates(
     Algo algo, int n, const Machine& machine,

@@ -44,8 +44,12 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
   machine.ratio = req.ratio;
 
   Stopwatch timer;
-  const RankedCandidate best =
-      selectOptimal(req.algo, req.n, machine, req.topology, req.star);
+  // One ranking pass yields the canonical best and, for extended families,
+  // the family best.
+  const TierARanking ranked = rankTierA(req.algo, req.n, machine,
+                                        options_.families, req.topology,
+                                        req.star);
+  const RankedCandidate& best = ranked.canonical;
 
   PlanAnswer answer;
   answer.shape = best.shape;
@@ -59,22 +63,17 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
   answer.optimalityGapPct = pushpart::optimalityGapPct(best.voc, vocBound);
   answer.familyCandidate = candidateName(best.shape);
 
-  // Extended families: rank layered/hierarchical members alongside the six
-  // shapes and adopt a family winner only when it *strictly* beats the
-  // canonical best — ties keep the paper's shape (and its closed-form
+  // Extended families: layered/hierarchical members were ranked alongside
+  // the six shapes; adopt the family winner only when it *strictly* beats
+  // the canonical best — ties keep the paper's shape (and its closed-form
   // pedigree). shape stays the canonical best either way.
-  if (options_.families.extended()) {
-    if (std::optional<FamilyRanked> fam =
-            bestFamilyCandidate(req.algo, req.n, machine, options_.families,
-                                req.topology, req.star)) {
-      if (fam->model.execSeconds < answer.model.execSeconds) {
-        answer.family = fam->family;
-        answer.familyCandidate = fam->name;
-        answer.model = fam->model;
-        answer.voc = fam->voc;
-        answer.optimalityGapPct = pushpart::optimalityGapPct(fam->voc, vocBound);
-      }
-    }
+  if (const std::optional<FamilyRanked>& fam = ranked.family;
+      fam && fam->model.execSeconds < answer.model.execSeconds) {
+    answer.family = fam->family;
+    answer.familyCandidate = fam->name;
+    answer.model = fam->model;
+    answer.voc = fam->voc;
+    answer.optimalityGapPct = pushpart::optimalityGapPct(fam->voc, vocBound);
   }
 
   // The atlas tier: between tier A (we already hold the exact closed-form

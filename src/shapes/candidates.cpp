@@ -20,23 +20,23 @@ int squareSide(std::int64_t count) {
       1, static_cast<int>(std::llround(std::sqrt(static_cast<double>(count)))));
 }
 
-/// Scans the band rows [r0 advancing by dr] × cols [c0, c1), row by row
-/// (each row left to right), claiming cells still owned by P until `count`
-/// cells belong to x. Produces a stack of full rows plus one partial row —
-/// an asymptotically rectangular region with an exact element count.
-void fillRowsFirst(Partition& q, Proc x, int c0, int c1, int r0, int dr,
-                   std::int64_t count) {
-  std::int64_t remaining = count;
-  for (int r = r0; r >= 0 && r < q.n() && remaining > 0; r += dr) {
-    for (int c = c0; c < c1 && remaining > 0; ++c) {
-      if (q.at(r, c) != Proc::P) continue;
-      q.set(r, c, x);
-      --remaining;
-    }
-  }
-  PUSHPART_CHECK_MSG(remaining == 0,
-                     "band too small for " << procName(x) << ": " << remaining
-                                           << " cells left over");
+/// Claims `count` cells for x along `run`; every construction below sizes
+/// its bands so the cells fit.
+void claim(PartitionDescriptor& q, Proc x, const LineRun& run,
+           std::int64_t count) {
+  const bool fits = q.carve(x, {run}, 0, count);
+  PUSHPART_CHECK_MSG(fits, "band too small for " << procName(x) << ": "
+                                                 << count << " cells asked");
+}
+
+/// Claims `count` cells for x from the band rows [r0 advancing by dr] ×
+/// cols [c0, c1), row by row (each row left to right): a stack of full rows
+/// plus one partial row — an asymptotically rectangular region with an
+/// exact element count.
+void fillRowsFirst(PartitionDescriptor& q, Proc x, int c0, int c1, int r0,
+                   int dr, std::int64_t count) {
+  const int rows = dr > 0 ? q.n() - r0 : r0 + 1;
+  claim(q, x, LineRun{true, r0, dr, rows, c0, c1, false}, count);
 }
 
 /// Column-major variant: full columns plus one partial column. `fromBottom`
@@ -44,27 +44,10 @@ void fillRowsFirst(Partition& q, Proc x, int c0, int c1, int r0, int dr,
 /// edge — needed by the full-height-strip shapes, whose slack must land in
 /// rows that already carry P (otherwise every row the slack touches gains a
 /// third owner and the shape's VoC leaves its closed form).
-void fillColsFirst(Partition& q, Proc x, int r0, int r1, int c0, int dc,
-                   std::int64_t count, bool fromBottom = false) {
-  std::int64_t remaining = count;
-  for (int c = c0; c >= 0 && c < q.n() && remaining > 0; c += dc) {
-    if (fromBottom) {
-      for (int r = r1 - 1; r >= r0 && remaining > 0; --r) {
-        if (q.at(r, c) != Proc::P) continue;
-        q.set(r, c, x);
-        --remaining;
-      }
-    } else {
-      for (int r = r0; r < r1 && remaining > 0; ++r) {
-        if (q.at(r, c) != Proc::P) continue;
-        q.set(r, c, x);
-        --remaining;
-      }
-    }
-  }
-  PUSHPART_CHECK_MSG(remaining == 0,
-                     "band too small for " << procName(x) << ": " << remaining
-                                           << " cells left over");
+void fillColsFirst(PartitionDescriptor& q, Proc x, int r0, int r1, int c0,
+                   int dc, std::int64_t count, bool fromBottom = false) {
+  const int cols = dc > 0 ? q.n() - c0 : c0 + 1;
+  claim(q, x, LineRun{false, c0, dc, cols, r0, r1, fromBottom}, count);
 }
 
 /// Lane boundary splitting n lanes between R (lanes [0, boundary)) and S
@@ -160,13 +143,14 @@ bool candidateFeasible(CandidateShape shape, int n, const Ratio& ratio) {
   return false;
 }
 
-Partition makeCandidate(CandidateShape shape, int n, const Ratio& ratio) {
+PartitionDescriptor candidateDescriptor(CandidateShape shape, int n,
+                                        const Ratio& ratio) {
   if (!candidateFeasible(shape, n, ratio))
     throw std::invalid_argument(std::string(candidateName(shape)) +
                                 " infeasible for n=" + std::to_string(n) +
                                 " ratio " + ratio.str());
   const Counts e = countsFor(n, ratio);
-  Partition q(n, Proc::P);
+  PartitionDescriptor q(n);
 
   switch (shape) {
     case CandidateShape::kSquareCorner: {
@@ -227,6 +211,10 @@ Partition makeCandidate(CandidateShape shape, int n, const Ratio& ratio) {
     }
   }
   return q;
+}
+
+Partition makeCandidate(CandidateShape shape, int n, const Ratio& ratio) {
+  return candidateDescriptor(shape, n, ratio).toPartition();
 }
 
 }  // namespace pushpart

@@ -31,6 +31,7 @@
 #include <array>
 #include <string>
 
+#include "grid/descriptor.hpp"
 #include "grid/partition.hpp"
 #include "grid/ratio.hpp"
 
@@ -74,9 +75,15 @@ CandidateShape candidateFromName(const std::string& name);
 /// is large enough to give each processor at least one cell.
 bool candidateFeasible(CandidateShape shape, int n, const Ratio& ratio);
 
-/// Builds the canonical partition for `shape` at integer granularity with
-/// exact ratio element counts. Throws std::invalid_argument when infeasible
-/// (use candidateFeasible to probe).
+/// The canonical partition for `shape` at integer granularity with exact
+/// ratio element counts, as owner rectangles (R's and S's fills, each full
+/// lines plus one partial line). Throws std::invalid_argument when
+/// infeasible (use candidateFeasible to probe).
+PartitionDescriptor candidateDescriptor(CandidateShape shape, int n,
+                                        const Ratio& ratio);
+
+/// candidateDescriptor(shape, n, ratio).toPartition(): the same shape as an
+/// element-exact grid, for callers that need its cells.
 Partition makeCandidate(CandidateShape shape, int n, const Ratio& ratio);
 
 /// The optimal corner split for the Rectangle-Corner shape: R's share of the

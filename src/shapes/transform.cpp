@@ -87,8 +87,9 @@ std::optional<ReduceResult> reduceToArchetypeA(Partition& q,
   std::int64_t bestVoc = 0;
   for (CandidateShape shape : kAllCandidates) {
     if (!candidateFeasible(shape, q.n(), ratio)) continue;
-    const Partition candidate = makeCandidate(shape, q.n(), ratio);
-    const auto voc = candidate.volumeOfCommunication();
+    const auto voc = candidateDescriptor(shape, q.n(), ratio)
+                         .lineCounts()
+                         .volumeOfCommunication();
     if (!best || voc < bestVoc) {
       best = shape;
       bestVoc = voc;

@@ -183,8 +183,8 @@ void paintPlacement(Partition& q, const FamilyPlacement& pl, Proc p) {
       q.set(r, c, p);
 }
 
-/// Best feasible canonical candidate by grid-measured VoC, as the exhaustive
-/// tier's incumbent. Null when no candidate is feasible at this n.
+/// Best feasible canonical candidate by VoC, as the exhaustive tier's
+/// incumbent. Null when no candidate is feasible at this n.
 struct Incumbent {
   std::int64_t voc = std::numeric_limits<std::int64_t>::max();
   bool found = false;
@@ -193,12 +193,12 @@ Incumbent candidateIncumbent(int n, const Ratio& ratio, Partition* best) {
   Incumbent inc;
   for (CandidateShape shape : kAllCandidates) {
     if (!candidateFeasible(shape, n, ratio)) continue;
-    Partition q = makeCandidate(shape, n, ratio);
-    const std::int64_t voc = q.volumeOfCommunication();
+    const PartitionDescriptor d = candidateDescriptor(shape, n, ratio);
+    const std::int64_t voc = d.lineCounts().volumeOfCommunication();
     if (voc < inc.voc) {
       inc.voc = voc;
       inc.found = true;
-      if (best) *best = std::move(q);
+      if (best) *best = d.toPartition();
     }
   }
   return inc;

@@ -36,8 +36,9 @@ std::int64_t candidateBestVoc(int n, const Ratio& ratio) {
   std::int64_t best = std::numeric_limits<std::int64_t>::max();
   for (CandidateShape shape : kAllCandidates) {
     if (!candidateFeasible(shape, n, ratio)) continue;
-    best = std::min(best,
-                    makeCandidate(shape, n, ratio).volumeOfCommunication());
+    best = std::min(best, candidateDescriptor(shape, n, ratio)
+                              .lineCounts()
+                              .volumeOfCommunication());
   }
   return best;
 }
@@ -115,11 +116,12 @@ PropertyRun familyBeatsOrTiesCanonicalProperty(
       std::numeric_limits<std::int64_t>::max();
   std::int64_t canonicalBest = kNoCandidate;
   std::int64_t familyBest = kNoCandidate;
-  std::optional<Partition> bestPartition;
+  std::optional<PartitionDescriptor> bestPartition;
   CheckReport r;
   builtinFamilies().forEach(
       c.n, c.ratio, FamilySet::all(), [&](const FamilyCandidate& cand) {
-        const std::int64_t voc = cand.partition.volumeOfCommunication();
+        const std::int64_t voc =
+            cand.descriptor.lineCounts().volumeOfCommunication();
         if (voc < bound)
           r.add("family.lower-bound",
                 cand.name + " VoC " + std::to_string(voc) +
@@ -129,7 +131,7 @@ PropertyRun familyBeatsOrTiesCanonicalProperty(
           canonicalBest = std::min(canonicalBest, voc);
         if (voc < familyBest) {
           familyBest = voc;
-          bestPartition = cand.partition;
+          bestPartition = cand.descriptor;
         }
       });
   if (canonicalBest != kNoCandidate && familyBest > canonicalBest)
@@ -150,7 +152,10 @@ PropertyRun familyBeatsOrTiesCanonicalProperty(
                 " exceeds the exhaustive optimum " +
                 std::to_string(oracle.minVoc));
   }
-  if (!r.ok()) return {r, bestPartition};
+  if (!r.ok())
+    return {r, bestPartition ? std::optional<Partition>(
+                                   bestPartition->toPartition())
+                             : std::nullopt};
   return {CheckReport{}, std::nullopt};
 }
 

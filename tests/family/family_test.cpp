@@ -59,13 +59,14 @@ TEST(FamilyEnumerate, ExactCountsAndValidCounters) {
             ++emitted;
             EXPECT_FALSE(c.name.empty());
             EXPECT_EQ(c.name.find(' '), std::string::npos) << c.name;
-            EXPECT_EQ(c.partition.n(), n) << c.name;
-            EXPECT_NO_THROW(c.partition.validateCounters()) << c.name;
+            const Partition q = c.descriptor.toPartition();
+            EXPECT_EQ(q.n(), n) << c.name;
+            EXPECT_NO_THROW(q.validateCounters()) << c.name;
             // elementCounts order is the q-encoding {eR, eS, eP}.
-            EXPECT_EQ(c.partition.count(Proc::R), counts[0])
+            EXPECT_EQ(q.count(Proc::R), counts[0])
                 << c.name << " ratio=" << ratio.str() << " n=" << n;
-            EXPECT_EQ(c.partition.count(Proc::S), counts[1]) << c.name;
-            EXPECT_EQ(c.partition.count(Proc::P), counts[2]) << c.name;
+            EXPECT_EQ(q.count(Proc::S), counts[1]) << c.name;
+            EXPECT_EQ(q.count(Proc::P), counts[2]) << c.name;
           });
       // All six canonical shapes are feasible at these sizes, and the
       // extended families must contribute beyond them.
@@ -80,7 +81,7 @@ TEST(FamilyEnumerate, DeduplicatesByPartition) {
     std::vector<std::uint64_t> hashes;
     builtinFamilies().forEach(20, ratio, FamilySet::all(),
                               [&](const FamilyCandidate& c) {
-                                hashes.push_back(c.partition.hash());
+                                hashes.push_back(c.descriptor.toPartition().hash());
                               });
     const std::set<std::uint64_t> unique(hashes.begin(), hashes.end());
     EXPECT_EQ(unique.size(), hashes.size()) << "ratio=" << ratio.str();
@@ -107,7 +108,7 @@ TEST(FamilyEnumerate, CanonicalMembersMatchMakeCandidate) {
         ASSERT_TRUE(c.shape.has_value());
         EXPECT_EQ(c.name, candidateName(*c.shape));
         const Partition expect = makeCandidate(*c.shape, n, ratio);
-        EXPECT_EQ(c.partition.hash(), expect.hash()) << c.name;
+        EXPECT_EQ(c.descriptor.toPartition(), expect) << c.name;
       });
   EXPECT_EQ(canonical, kNumCandidates);
 }
@@ -199,7 +200,8 @@ TEST(FamilyVsExhaustiveOracle, SmallNFloor) {
       if (exact.tier != SmallNOracleTier::kExhaustive) continue;
       builtinFamilies().forEach(
           n, ratio, FamilySet::all(), [&](const FamilyCandidate& c) {
-            EXPECT_GE(c.partition.volumeOfCommunication(), exact.minVoc)
+            EXPECT_GE(c.descriptor.toPartition().volumeOfCommunication(),
+                      exact.minVoc)
                 << c.name << " n=" << n << " ratio=" << ratio.str();
           });
     }

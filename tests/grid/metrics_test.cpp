@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "grid/builder.hpp"
+#include "shapes/candidates.hpp"
 #include "support/rng.hpp"
 
 namespace pushpart {
@@ -80,6 +81,33 @@ TEST(OverlapTest, FullyOwnedGridOverlapsEverything) {
   EXPECT_EQ(overlapFlopSteps(q, Proc::P), 4L * 4 * 4);
   EXPECT_EQ(overlapElements(q, Proc::R), 0);
   EXPECT_EQ(overlapFlopSteps(q, Proc::R), 0);
+}
+
+/// overlapElements by its definition: cells (i, j) whose row i and column j
+/// are both wholly x's, counted one by one.
+std::int64_t overlapElementsByCell(const Partition& q, Proc x) {
+  std::int64_t total = 0;
+  for (int i = 0; i < q.n(); ++i)
+    for (int j = 0; j < q.n(); ++j)
+      if (q.rowCount(x, i) == q.n() && q.colCount(x, j) == q.n()) ++total;
+  return total;
+}
+
+TEST(OverlapTest, ProductOfFullLinesMatchesCellCount) {
+  const int n = 60;
+  std::vector<Partition> grids = {Partition(n, Proc::P), Partition(n, Proc::R)};
+  for (const Ratio& ratio : {Ratio{5, 2, 1}, Ratio{10, 1, 1}})
+    for (const CandidateShape shape : kAllCandidates)
+      grids.push_back(makeCandidate(shape, n, ratio));
+  for (const Partition& q : grids)
+    for (const Proc x : kAllProcs)
+      EXPECT_EQ(overlapElements(q, x), overlapElementsByCell(q, x))
+          << procName(x);
+  EXPECT_EQ(overlapElements(grids[0], Proc::P), n * n);
+  EXPECT_EQ(overlapElements(grids[1], Proc::R), n * n);
+  EXPECT_EQ(overlapElements(grids[1], Proc::P), 0);
+  // Square-Corner leaves P whole rows and columns between the two squares.
+  EXPECT_GT(overlapElements(grids[2], Proc::P), 0);
 }
 
 TEST(OverlapTest, StripesGiveNoFullyLocalElements) {

@@ -158,18 +158,24 @@ TEST(PlanCacheTest, ConcurrentIdenticalRequestsCoalesceOntoOneSolve) {
 TEST(PlanCacheTest, CoalescedWaitersSeeTheSolversException) {
   PlanCache cache(8, 2);
   const CanonicalKey key = keyFor(5);
+  std::atomic<bool> solving{false};
   std::atomic<bool> waiterFailed{false};
 
   std::thread owner([&]() {
     try {
       cache.getOrCompute(key, [&]() -> PlanAnswer {
+        solving = true;
         while (cache.counters().coalesced < 1) std::this_thread::yield();
         throw std::runtime_error("solver broke");
       });
     } catch (const std::runtime_error&) {
     }
   });
+  // The waiter asks only once the owner is solving (a waiter scheduled
+  // first would solve the key itself and make the owner the one that
+  // coalesces), and the owner fails only after the waiter has coalesced.
   std::thread waiter([&]() {
+    while (!solving) std::this_thread::yield();
     try {
       cache.getOrCompute(key, []() { return PlanAnswer{}; });
     } catch (const std::runtime_error&) {
@@ -178,12 +184,8 @@ TEST(PlanCacheTest, CoalescedWaitersSeeTheSolversException) {
   });
   owner.join();
   waiter.join();
-  // Either the waiter coalesced (and saw the exception) or it arrived after
-  // the failure was cleaned up and solved successfully itself; both leave
-  // the cache consistent. The coalesced path is the one under test.
-  if (cache.counters().coalesced == 1) {
-    EXPECT_TRUE(waiterFailed.load());
-  }
+  EXPECT_EQ(cache.counters().coalesced, 1u);
+  EXPECT_TRUE(waiterFailed.load());
 }
 
 // Contention stress: many threads hammer a keyspace larger than the cache,

@@ -7,7 +7,10 @@
 #include <thread>
 #include <vector>
 
+#include "bounds/bounds.hpp"
+#include "family/rank.hpp"
 #include "model/optimal.hpp"
+#include "support/rng.hpp"
 
 namespace pushpart {
 namespace {
@@ -215,6 +218,83 @@ TEST(OracleTest, ExtendedFamiliesNeverLoseToCanonicalServing) {
     EXPECT_EQ(b.answer.shape, a.answer.shape);
     if (b.answer.family != FamilyId::kCanonical) {
       EXPECT_LT(b.answer.voc, a.answer.voc);
+    }
+  }
+}
+
+/// Tier A as two ranking passes — selectOptimal, then bestFamilyCandidate
+/// for extended selections, adopting the family winner only when strictly
+/// faster — over the request's canonical form.
+PlanAnswer twoPassAnswer(const PlanRequest& req, FamilySet families) {
+  const PlanRequest k = canonicalize(req).request;
+  Machine machine;
+  machine.ratio = k.ratio;
+  const RankedCandidate best =
+      selectOptimal(k.algo, k.n, machine, k.topology, k.star);
+  const std::int64_t bound = vocLowerBound(k.n, k.ratio);
+  PlanAnswer a;
+  a.shape = best.shape;
+  a.model = best.model;
+  a.voc = best.voc;
+  a.tier = k.tier;
+  a.servedTier = PlanTier::kFast;
+  a.optimalityGapPct = optimalityGapPct(best.voc, bound);
+  a.familyCandidate = candidateName(best.shape);
+  if (families.extended()) {
+    const std::optional<FamilyRanked> fam = bestFamilyCandidate(
+        k.algo, k.n, machine, families, k.topology, k.star);
+    if (fam && fam->model.execSeconds < a.model.execSeconds) {
+      a.family = fam->family;
+      a.familyCandidate = fam->name;
+      a.model = fam->model;
+      a.voc = fam->voc;
+      a.optimalityGapPct = optimalityGapPct(fam->voc, bound);
+    }
+  }
+  return a;
+}
+
+// The oracle ranks each shape once; its answers must equal the two-pass
+// ranking's on every field, tie rules included: tied speeds (p = r, r = s,
+// all equal) make several shapes model identically.
+TEST(OracleTest, SinglePassTierAMatchesTwoPassRanking) {
+  const std::vector<Ratio> tied = {Ratio{1, 1, 1}, Ratio{3, 3, 1},
+                                   Ratio{4, 1, 1}, Ratio{2, 2, 2},
+                                   Ratio{6, 3, 3}, Ratio{5, 5, 2}};
+  const std::array<Algo, 5> algos = {Algo::kSCB, Algo::kPCB, Algo::kSCO,
+                                     Algo::kPCO, Algo::kPIO};
+  for (const FamilySet families :
+       {FamilySet::all(), FamilySet::parse("layered"),
+        FamilySet::parse("canonical,hierarchical"),
+        FamilySet::canonicalOnly()}) {
+    OracleOptions opts;
+    opts.families = families;
+    Oracle oracle(opts);
+    Rng rng(1506);
+    for (int k = 0; k < 60; ++k) {
+      PlanRequest req;
+      req.tier = PlanTier::kFast;
+      req.n = static_cast<int>(rng.range(6, 140));
+      if (k % 2 == 0) {
+        req.ratio = tied[static_cast<std::size_t>(k / 2) % tied.size()];
+      } else {
+        const double p = 1.0 + 15.0 * rng.real();
+        req.ratio = Ratio{p, 1.0 + (p - 1.0) * rng.real(), 1.0};
+      }
+      req.algo = algos[static_cast<std::size_t>(k) % algos.size()];
+      if (rng.chance(0.5)) {
+        req.topology = Topology::kStar;
+        req.star.hub = kAllProcs[rng.below(kNumProcs)];
+      }
+      PlanAnswer got = oracle.plan(req).answer;
+      got.solveSeconds = 0.0;
+      const PlanAnswer want = twoPassAnswer(req, families);
+      EXPECT_TRUE(got == want)
+          << families.str() << " n=" << req.n << " ratio=" << req.ratio.str()
+          << " algo=" << algoName(req.algo) << ": served "
+          << got.familyCandidate << " exec " << got.model.execSeconds
+          << ", two-pass " << want.familyCandidate << " exec "
+          << want.model.execSeconds;
     }
   }
 }

@@ -252,19 +252,8 @@ int cmdRecommend(const Flags& flags) {
   std::cout << "\nrecommended: " << ranked.front().name << "\n";
   const std::string out = flags.str("out", "");
   if (!out.empty()) {
-    // Rebuild the winner's partition from the registry (ranking keeps only
-    // metadata) and save it like the shape-only path always did.
-    std::optional<Partition> winner;
-    builtinFamilies().forEach(n, machine.ratio, families,
-                              [&](const FamilyCandidate& c) {
-                                if (!winner && c.name == ranked.front().name)
-                                  winner = c.partition;
-                              });
-    if (!winner) {
-      std::cerr << "could not rebuild winner partition\n";
-      return 1;
-    }
-    savePartition(*winner, out);
+    // Only the winner's grid is ever built.
+    savePartition(ranked.front().descriptor.toPartition(), out);
     std::cout << "saved to " << out << "\n";
   }
   return 0;
